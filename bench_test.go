@@ -209,7 +209,7 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkSecurity(b *testing.B) {
 	type runner struct {
 		name string
-		fn   func(exploit.Defense, int, int64) (exploit.Result, error)
+		fn   exploit.Runner
 	}
 	for _, sc := range []runner{
 		{"uaf", exploit.RunUAF},

@@ -85,16 +85,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "polarbench:", err)
 		os.Exit(2)
 	}
-	vm.SetDefaultEngine(eng)
-	if *pgoPath != "" || *pgoTopK != 0 {
-		var prof *profile.PGO
-		if *pgoPath != "" {
-			if prof, err = profile.ReadPGOFile(*pgoPath); err != nil {
-				fmt.Fprintln(os.Stderr, "polarbench:", err)
-				os.Exit(2)
-			}
+	h := evalrun.Harness{
+		Workers:    *parallel,
+		Engine:     eng,
+		Compile:    vm.CompileOpts{FusionTopK: *pgoTopK},
+		RekeyEvery: *rekeyEpoch,
+	}
+	if *pgoPath != "" {
+		if h.Compile.Profile, err = profile.ReadPGOFile(*pgoPath); err != nil {
+			fmt.Fprintln(os.Stderr, "polarbench:", err)
+			os.Exit(2)
 		}
-		vm.SetDefaultPGO(vm.CompileOpts{Profile: prof, FusionTopK: *pgoTopK})
 	}
 	var traceModes []core.LayoutMode
 	if *layoutMode != "all" && *layoutMode != "" {
@@ -105,7 +106,6 @@ func main() {
 		}
 		traceModes = []core.LayoutMode{m}
 	}
-	evalrun.SetRekeyEpoch(*rekeyEpoch)
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -114,7 +114,6 @@ func main() {
 		}
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }
-	evalrun.SetParallelism(*parallel)
 	csv := *format == "csv"
 	if *format != "text" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "polarbench: unknown format %q\n", *format)
@@ -126,7 +125,7 @@ func main() {
 	cleanup := func() {}
 	if *traceJSON != "" {
 		var err error
-		if cleanup, err = startTrace(*traceJSON); err != nil {
+		if h.Tracer, cleanup, err = startTrace(*traceJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "polarbench:", err)
 			os.Exit(1)
 		}
@@ -143,7 +142,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err = run(sel, csv, emitConfig{json: *metrics, promDir: *promDir}, *reps, *trials, *fuzzIters, *seed, *exectraceDir, traceModes)
+	err = run(h, sel, csv, emitConfig{json: *metrics, promDir: *promDir}, *reps, *trials, *fuzzIters, *seed, *exectraceDir, traceModes)
 	cleanup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "polarbench:", err)
@@ -151,19 +150,17 @@ func main() {
 	}
 }
 
-// startTrace attaches a suite-wide tracer writing to path. The cleanup
+// startTrace opens a suite-wide tracer writing to path. The cleanup
 // closes the JSON array, flushes and closes the file — in that order —
 // so even an aborted suite leaves a parseable timeline.
-func startTrace(path string) (func(), error) {
+func startTrace(path string) (*telemetry.Tracer, func(), error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bw := bufio.NewWriter(f)
 	tr := telemetry.NewTracer(bw)
-	evalrun.SetTracer(tr)
-	return func() {
-		evalrun.SetTracer(nil)
+	return tr, func() {
 		if err := tr.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "polarbench: closing trace:", err)
 		}
@@ -207,10 +204,10 @@ func emitMetrics(cfg emitConfig, name string, fill func(*telemetry.Registry)) er
 	return nil
 }
 
-func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzzIters int, seed int64, exectraceDir string, traceModes []core.LayoutMode) error {
+func run(h evalrun.Harness, sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzzIters int, seed int64, exectraceDir string, traceModes []core.LayoutMode) error {
 	if sel("table1") {
-		sp := evalrun.Span("table1", "experiment")
-		rows, err := evalrun.TableI(fuzzIters, seed)
+		sp := h.Span("table1", "experiment")
+		rows, err := h.TableI(fuzzIters, seed)
 		sp.End()
 		if err != nil {
 			return err
@@ -225,8 +222,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("fig6") {
-		sp := evalrun.Span("fig6", "experiment")
-		rows, err := evalrun.Figure6(reps, seed)
+		sp := h.Span("fig6", "experiment")
+		rows, err := h.Figure6(reps, seed)
 		sp.End()
 		if err != nil {
 			return err
@@ -243,8 +240,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 	var jsRows []evalrun.JSRow
 	if sel("table2") || sel("fig7") {
 		var err error
-		sp := evalrun.Span("fig7", "experiment")
-		jsRows, err = evalrun.Figure7(reps, seed)
+		sp := h.Span("fig7", "experiment")
+		jsRows, err = h.Figure7(reps, seed)
 		sp.End()
 		if err != nil {
 			return err
@@ -262,8 +259,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("table3") {
-		sp := evalrun.Span("table3", "experiment")
-		rows, err := evalrun.TableIII(seed)
+		sp := h.Span("table3", "experiment")
+		rows, err := h.TableIII(seed)
 		sp.End()
 		if err != nil {
 			return err
@@ -278,8 +275,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("table4") {
-		sp := evalrun.Span("table4", "experiment")
-		rows, err := evalrun.TableIV()
+		sp := h.Span("table4", "experiment")
+		rows, err := h.TableIV()
 		sp.End()
 		if err != nil {
 			return err
@@ -304,8 +301,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("security") {
-		sp := evalrun.Span("security", "experiment")
-		rep, err := evalrun.Security(trials, seed)
+		sp := h.Span("security", "experiment")
+		rep, err := h.Security(trials, seed)
 		sp.End()
 		if err != nil {
 			return err
@@ -320,8 +317,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("static") {
-		sp := evalrun.Span("static", "experiment")
-		rows, err := evalrun.StaticTaint(fuzzIters, seed)
+		sp := h.Span("static", "experiment")
+		rows, err := h.StaticTaint(fuzzIters, seed)
 		sp.End()
 		if err != nil {
 			return err
@@ -336,8 +333,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("traces") {
-		sp := evalrun.Span("traces", "experiment")
-		rows, err := evalrun.Traces(exectraceDir, seed, traceModes...)
+		sp := h.Span("traces", "experiment")
+		rows, err := h.Traces(exectraceDir, seed, traceModes...)
 		sp.End()
 		if err != nil {
 			return err
@@ -358,8 +355,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("seeding") {
-		sp := evalrun.Span("seeding", "experiment")
-		rows, err := evalrun.Seeding(seed)
+		sp := h.Span("seeding", "experiment")
+		rows, err := h.Seeding(seed)
 		sp.End()
 		if err != nil {
 			return err
@@ -380,8 +377,8 @@ func run(sel func(string) bool, csv bool, metrics emitConfig, reps, trials, fuzz
 		}
 	}
 	if sel("ablation") {
-		sp := evalrun.Span("ablation", "experiment")
-		rows, err := evalrun.Ablation(reps, seed)
+		sp := h.Span("ablation", "experiment")
+		rows, err := h.Ablation(reps, seed)
 		sp.End()
 		if err != nil {
 			return err

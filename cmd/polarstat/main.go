@@ -48,24 +48,22 @@ func main() {
 	pgoPath := flag.String("pgo", "", "compile under a recorded hot-site profile (JSON from polarun -pgo-record)")
 	pgoTopK := flag.Int("pgo-topk", 0, "fuse only the K hottest candidate runs (0 = all, <0 = classic pairs only)")
 	flag.Parse()
-	if *pgoPath != "" || *pgoTopK != 0 {
-		var prof *polar.PGOProfile
-		if *pgoPath != "" {
-			var err error
-			if prof, err = polar.ReadPGOFile(*pgoPath); err != nil {
-				fmt.Fprintln(os.Stderr, "polarstat:", err)
-				os.Exit(1)
-			}
+	var prof *polar.PGOProfile
+	if *pgoPath != "" {
+		var err error
+		if prof, err = polar.ReadPGOFile(*pgoPath); err != nil {
+			fmt.Fprintln(os.Stderr, "polarstat:", err)
+			os.Exit(1)
 		}
-		polar.SetDefaultPGO(prof, *pgoTopK)
 	}
-	if err := run(*wl, *jsonOut, *lowered, *exec, *seed); err != nil {
+	pgo := polar.WithPGO(prof, *pgoTopK)
+	if err := run(*wl, *jsonOut, *lowered, *exec, *seed, pgo); err != nil {
 		fmt.Fprintln(os.Stderr, "polarstat:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl string, jsonOut, lowered, exec bool, seed int64) error {
+func run(wl string, jsonOut, lowered, exec bool, seed int64, pgo polar.Option) error {
 	var m *polar.Module
 	var w *workload.Workload
 	switch {
@@ -98,22 +96,22 @@ func run(wl string, jsonOut, lowered, exec bool, seed int64) error {
 		fmt.Print(stats.Render())
 	}
 	if lowered {
-		if err := printLowered(m); err != nil {
+		if err := printLowered(m, pgo); err != nil {
 			return err
 		}
 	}
 	if exec {
-		if err := runOnce(m, w, seed); err != nil {
+		if err := runOnce(m, w, seed, pgo); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// printLowered compiles the module under the process-default options
-// and renders the per-function lowering summary.
-func printLowered(m *polar.Module) error {
-	prep, err := polar.Prepare(m)
+// printLowered compiles the module under the -pgo options and renders
+// the per-function lowering summary.
+func printLowered(m *polar.Module, pgo polar.Option) error {
+	prep, err := polar.Prepare(m, pgo)
 	if err != nil {
 		return err
 	}
@@ -130,12 +128,12 @@ func printLowered(m *polar.Module) error {
 
 // runOnce hardens the module, executes it once and prints the engine
 // performance counters under their registry names.
-func runOnce(m *polar.Module, w *workload.Workload, seed int64) error {
+func runOnce(m *polar.Module, w *workload.Workload, seed int64, pgo polar.Option) error {
 	h, err := polar.Harden(m, nil)
 	if err != nil {
 		return err
 	}
-	opts := []polar.Option{polar.WithSeed(seed)}
+	opts := []polar.Option{polar.WithSeed(seed), pgo}
 	if w != nil {
 		opts = append(opts, polar.WithInput(w.Input), polar.WithArgs(w.Args...))
 	}

@@ -236,25 +236,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
 		os.Exit(2)
 	}
-	polar.SetDefaultEngine(eng)
-	if c.pgoPath != "" || c.pgoTopK != 0 {
-		var prof *polar.PGOProfile
-		if c.pgoPath != "" {
-			if prof, err = polar.ReadPGOFile(c.pgoPath); err != nil {
-				fmt.Fprintln(os.Stderr, "polarun:", err)
-				os.Exit(2)
-			}
-		}
-		polar.SetDefaultPGO(prof, c.pgoTopK)
-	}
-	if c.factsPath != "" {
-		facts, err := polar.ReadFactsFile(c.factsPath)
-		if err != nil {
+	var prof *polar.PGOProfile
+	if c.pgoPath != "" {
+		if prof, err = polar.ReadPGOFile(c.pgoPath); err != nil {
 			fmt.Fprintln(os.Stderr, "polarun:", err)
 			os.Exit(2)
 		}
-		polar.SetDefaultFacts(facts)
 	}
+	var facts *polar.CompileFacts
+	if c.factsPath != "" {
+		if facts, err = polar.ReadFactsFile(c.factsPath); err != nil {
+			fmt.Fprintln(os.Stderr, "polarun:", err)
+			os.Exit(2)
+		}
+	}
+	progOpts := []polar.Option{polar.WithEngine(eng), polar.WithPGO(prof, c.pgoTopK), polar.WithFacts(facts)}
 	if _, err := polar.ParseLayoutMode(c.layoutMode); err != nil {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
 		os.Exit(2)
@@ -263,13 +259,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: polarun [-hardened|-harden] [-input file] [-seed n] program.ir [args...]")
 		os.Exit(2)
 	}
-	if err := run(c); err != nil {
+	if err := run(c, progOpts); err != nil {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(c runConfig) error {
+// run executes the program. progOpts carry the engine and the compile
+// options: Prepare* reads the compile options, every run the engine.
+func run(c runConfig, progOpts []polar.Option) error {
 	// The observability layer is created up front so the parse phase is
 	// already on the trace timeline. The live endpoint needs a bus and
 	// registry even when -metrics wasn't asked for.
@@ -437,11 +435,11 @@ func run(c runConfig) error {
 		if herr != nil {
 			return herr
 		}
-		prep, err = polar.PrepareHardened(h)
+		prep, err = polar.PrepareHardened(h, progOpts...)
 	case c.hardened:
-		prep, err = polar.PrepareHardened(&polar.Hardened{Module: m})
+		prep, err = polar.PrepareHardened(&polar.Hardened{Module: m}, progOpts...)
 	default:
-		prep, err = polar.Prepare(m)
+		prep, err = polar.Prepare(m, progOpts...)
 	}
 	if err != nil {
 		return err
@@ -469,7 +467,7 @@ func run(c runConfig) error {
 		if runs > 1 {
 			seed = evalrun.TaskSeed(c.seed, fmt.Sprintf("run/%d", i))
 		}
-		opts := []polar.Option{polar.WithSeed(seed), polar.WithInput(input), polar.WithArgs(args...)}
+		opts := append([]polar.Option{polar.WithSeed(seed), polar.WithInput(input), polar.WithArgs(args...)}, progOpts...)
 		// Validated at startup; the zero value (metadata) applies on "".
 		mode, _ := polar.ParseLayoutMode(c.layoutMode)
 		opts = append(opts, polar.WithLayoutMode(mode))

@@ -19,15 +19,23 @@ import (
 // evaluation tables and a fuzzing campaign must produce byte-identical
 // results, stats, violation records and corpora on both engines.
 
-// underEngine pins the process-default engine for one sub-run and
-// restores it afterwards. The differential tests run sub-steps
-// sequentially (no t.Parallel) because the default is process-global.
-func underEngine(t *testing.T, e Engine, f func()) {
+// onBothEngines runs one sub-step per engine, concurrently — the engine
+// travels explicitly, so nothing is shared between them — and returns
+// the bytecode and legacy results in that order.
+func onBothEngines[T any](t *testing.T, run func(t *testing.T, e Engine) T) (out [2]T) {
 	t.Helper()
-	old := vm.DefaultEngine()
-	vm.SetDefaultEngine(e)
-	defer vm.SetDefaultEngine(old)
-	f()
+	ok := t.Run("engines", func(t *testing.T) {
+		for i, e := range []Engine{EngineBytecode, EngineLegacy} {
+			t.Run(e.String(), func(t *testing.T) {
+				t.Parallel()
+				out[i] = run(t, e)
+			})
+		}
+	})
+	if !ok {
+		t.FailNow()
+	}
+	return out
 }
 
 func TestEngineDifferentialWorkloads(t *testing.T) {
@@ -82,14 +90,14 @@ func TestEngineDifferentialWorkloads(t *testing.T) {
 
 func TestEngineDifferentialExploits(t *testing.T) {
 	const trials, seed = 25, 7
-	run := func() map[string]exploit.Result {
+	byEngine := onBothEngines(t, func(t *testing.T, e Engine) map[string]exploit.Result {
 		out := map[string]exploit.Result{}
 		for _, def := range []exploit.Defense{exploit.DefenseNone, exploit.DefensePOLaR} {
-			uaf, err := exploit.RunUAF(def, trials, seed)
+			uaf, err := exploit.RunUAF(def, trials, seed, vm.WithEngine(e))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc, err := exploit.RunTypeConfusion(def, trials, seed)
+			tc, err := exploit.RunTypeConfusion(def, trials, seed, vm.WithEngine(e))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,10 +105,7 @@ func TestEngineDifferentialExploits(t *testing.T) {
 			out["tc/"+def.String()] = tc
 		}
 		return out
-	}
-	var byEngine [2]map[string]exploit.Result
-	underEngine(t, EngineBytecode, func() { byEngine[0] = run() })
-	underEngine(t, EngineLegacy, func() { byEngine[1] = run() })
+	})
 	if !reflect.DeepEqual(byEngine[0], byEngine[1]) {
 		t.Fatalf("exploit outcomes differ across engines:\nbytecode %+v\nlegacy   %+v",
 			byEngine[0], byEngine[1])
@@ -113,20 +118,18 @@ func TestEngineDifferentialEvalTables(t *testing.T) {
 		t3csv string
 		t4csv string
 	}
-	run := func() tables {
-		r3, err := evalrun.TableIII(seed)
+	byEngine := onBothEngines(t, func(t *testing.T, e Engine) tables {
+		h := evalrun.Harness{Engine: e}
+		r3, err := h.TableIII(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r4, err := evalrun.TableIV()
+		r4, err := h.TableIV()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tables{evalrun.CSVTableIII(r3), evalrun.CSVTableIV(r4)}
-	}
-	var byEngine [2]tables
-	underEngine(t, EngineBytecode, func() { byEngine[0] = run() })
-	underEngine(t, EngineLegacy, func() { byEngine[1] = run() })
+	})
 	if byEngine[0].t3csv != byEngine[1].t3csv {
 		t.Errorf("Table III CSV differs across engines:\nbytecode:\n%s\nlegacy:\n%s",
 			byEngine[0].t3csv, byEngine[1].t3csv)
@@ -145,16 +148,15 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 	w := workload.LibPNG()
 	cfg := fuzz.DefaultConfig(31)
 	cfg.Iterations = 400
-	run := func() *fuzz.Result {
+	byEngine := onBothEngines(t, func(t *testing.T, e Engine) *fuzz.Result {
+		cfg := cfg
+		cfg.Engine = e
 		res, err := fuzz.Run(ir.Clone(w.Module), [][]byte{w.Input}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
-	}
-	var byEngine [2]*fuzz.Result
-	underEngine(t, EngineBytecode, func() { byEngine[0] = run() })
-	underEngine(t, EngineLegacy, func() { byEngine[1] = run() })
+	})
 	b, l := byEngine[0], byEngine[1]
 	if b.Execs != l.Execs || b.Edges != l.Edges {
 		t.Fatalf("campaign shape differs: bytecode execs=%d edges=%d, legacy execs=%d edges=%d",

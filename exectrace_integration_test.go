@@ -68,9 +68,7 @@ func TestEngineDifferentialWorkloadTraces(t *testing.T) {
 	}
 	// A rekey schedule makes the stateless arm also exercise the
 	// epoch-advance and live-object remap paths under the differential.
-	evalrun.SetRekeyEpoch(64)
-	defer evalrun.SetRekeyEpoch(0)
-	rows, err := evalrun.Traces("", 11)
+	rows, err := evalrun.Harness{RekeyEvery: 64}.Traces("", 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,15 @@ const lintPass = "lint"
 
 // Lint rule IDs.
 const (
-	RulePtrAddIntoClass   = "ptradd-into-class"
-	RuleElemPtrIntoClass  = "elemptr-into-class"
-	RuleFieldPtrMismatch  = "fieldptr-class-mismatch"
-	RuleMemcpyCrossClass  = "memcpy-cross-class"
-	RuleMemcpyPartial     = "memcpy-partial-class"
-	RuleMemfillOverflow   = "memfill-overflow"
-	RuleOOBStore          = "oob-store"
-	RuleFieldPtrEscape    = "fieldptr-escape"
-	RuleFieldPtrPastFree  = "fieldptr-live-across-free"
+	RulePtrAddIntoClass  = "ptradd-into-class"
+	RuleElemPtrIntoClass = "elemptr-into-class"
+	RuleFieldPtrMismatch = "fieldptr-class-mismatch"
+	RuleMemcpyCrossClass = "memcpy-cross-class"
+	RuleMemcpyPartial    = "memcpy-partial-class"
+	RuleMemfillOverflow  = "memfill-overflow"
+	RuleOOBStore         = "oob-store"
+	RuleFieldPtrEscape   = "fieldptr-escape"
+	RuleFieldPtrPastFree = "fieldptr-live-across-free"
 )
 
 // lintPassRun walks every function, under each of its analyzed calling

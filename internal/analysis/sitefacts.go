@@ -135,8 +135,8 @@ func siteFactsPass(ip *interp) *SiteFacts {
 		field     int
 		fn        string // containing function and block, for the churn test
 		block     int
-		sawAny    bool // some context produced a non-empty points-to set
-		conflict  bool // some receiver is not a heap object of the class
+		sawAny    bool           // some context produced a non-empty points-to set
+		conflict  bool           // some receiver is not a heap object of the class
 		receivers map[string]int // concrete site key -> region index (any ctx)
 	}
 	accs := make(map[string]*acc)

@@ -84,8 +84,8 @@ func ablationConfigs(seed int64) []struct {
 }
 
 // legacyEngineConfig names the ablation variant that pins the
-// tree-walking engine (every other variant runs on the process-default
-// engine, normally bytecode).
+// tree-walking engine (every other variant runs on the harness engine,
+// normally bytecode).
 const legacyEngineConfig = "legacy-engine"
 
 // Ablation measures the overhead of each configuration variant on the
@@ -93,7 +93,7 @@ const legacyEngineConfig = "legacy-engine"
 // (h264ref) apps — the three profiles that exercise the three ablatable
 // mechanisms. The config × app grid is flattened over the worker pool;
 // all reps of one cell stay on one worker.
-func Ablation(reps int, seed int64) ([]AblationRow, error) {
+func (h Harness) Ablation(reps int, seed int64) ([]AblationRow, error) {
 	apps := []string{"429.mcf", "458.sjeng", "464.h264ref"}
 	cfgs := ablationConfigs(seed)
 	type cell struct {
@@ -108,19 +108,19 @@ func Ablation(reps int, seed int64) ([]AblationRow, error) {
 		}
 	}
 	rows := make([]AblationRow, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	err := ForEach(len(cells), h.Workers, func(i int) error {
 		c := cells[i]
 		w, err := workload.ByName(c.app)
 		if err != nil {
 			return err
 		}
-		sp := Span(c.cfgName+"/"+c.app, "ablation")
+		sp := h.Span(c.cfgName+"/"+c.app, "ablation")
 		defer sp.End()
 		var vmOpts []vm.Option
 		if c.cfgName == legacyEngineConfig {
 			vmOpts = append(vmOpts, vm.WithEngine(vm.EngineLegacy))
 		}
-		base, polar, rt, perf, err := measureWorkload(w, reps, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app), c.cfg, vmOpts...)
+		base, polar, rt, perf, err := h.measureWorkload(w, reps, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app), c.cfg, vmOpts...)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", c.cfgName, c.app, err)
 		}
@@ -142,7 +142,7 @@ func Ablation(reps int, seed int64) ([]AblationRow, error) {
 		// The seeded arm of the IC column: a fresh analyze→seed→compile of
 		// the same app run once under the same configuration and the
 		// representative rep's seed (measureWorkload's last hardened rep).
-		seededHit, err := seededHitPct(c.app, c.cfg, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app)+int64(reps), vmOpts...)
+		seededHit, err := h.seededHitPct(c.app, c.cfg, TaskSeed(seed, "ablation/"+c.cfgName+"/"+c.app)+int64(reps), vmOpts...)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", c.cfgName, c.app, err)
 		}

@@ -1,7 +1,8 @@
 // Package evalrun is the experiment harness: it regenerates every table
 // and figure of the paper's evaluation (§V) from the workloads, the
 // instrumentation pass, the POLaR runtime and the TaintClass framework,
-// and renders them as text reports.
+// and renders them as text reports. The experiments are methods of
+// Harness, which carries every setting they run under.
 //
 // Experiment index (see DESIGN.md §3):
 //
@@ -27,33 +28,51 @@ import (
 	"polar/internal/workload"
 )
 
-// tracer, when set, receives one span per experiment sub-step (each
-// workload, kernel, CVE case and security scenario) so a whole
-// polarbench suite renders as one nested Chrome-trace timeline.
-var tracer *telemetry.Tracer
-
-// SetTracer attaches (or, with nil, detaches) the harness-wide tracer.
-// Call this before running experiments (the tracer itself serializes
-// concurrent spans, so parallel sub-steps trace safely).
-func SetTracer(tr *telemetry.Tracer) { tracer = tr }
+// Harness is the configuration every experiment runs under; the
+// experiments are its methods. The zero value runs GOMAXPROCS workers,
+// no tracer, the bytecode engine, the static compile pipeline and no
+// stateless rekeying.
+type Harness struct {
+	// Workers is how many experiment sub-steps (workloads, kernels, CVE
+	// cases, defenses) run concurrently: < 1 means GOMAXPROCS, 1 is
+	// fully serial.
+	Workers int
+	// Tracer, when set, receives one span per experiment sub-step (each
+	// workload, kernel, CVE case and security scenario) so a whole
+	// polarbench suite renders as one nested Chrome-trace timeline. The
+	// tracer serializes concurrent spans, so parallel sub-steps trace
+	// safely.
+	Tracer *telemetry.Tracer
+	// Engine executes every VM the experiments create, except where an
+	// experiment pins one itself (the traces differential runs both;
+	// the ablation's legacy-engine arm runs the tree-walker).
+	Engine vm.Engine
+	// Compile holds the options every experiment program is compiled
+	// under (the seeding experiment adds its facts on top).
+	Compile vm.CompileOpts
+	// RekeyEvery is the stateless-mode epoch-rekey period of the traces
+	// experiment (advance the derivation epoch every n instrumented
+	// frees; <= 0 disables). With a schedule set, the cross-engine gate
+	// also exercises the epoch-advance and live-object remap paths.
+	RekeyEvery int
+}
 
 // Span opens a span on the harness tracer; without one it returns nil,
 // which Span.End handles, so call sites need no guards. polarbench uses
 // the same helper for the outer per-experiment spans.
-func Span(name, cat string) *telemetry.Span {
-	if tracer == nil {
+func (h Harness) Span(name, cat string) *telemetry.Span {
+	if h.Tracer == nil {
 		return nil
 	}
-	return tracer.Begin(name, cat)
+	return h.Tracer.Begin(name, cat)
 }
 
 // runOnce stamps a fresh instance from a compiled program, executes it
 // once, and returns the wall time of the Run call and the final
-// checksum. Extra vm options (an engine pin, say) apply to the instance;
-// without them the instance uses the process-default engine, which the
-// polarbench -engine flag controls.
-func runOnce(p *vm.Program, input []byte, args []int64, rt func(*vm.VM), vmOpts ...vm.Option) (time.Duration, int64, error) {
-	v, err := p.NewInstance(append([]vm.Option{vm.WithInput(input)}, vmOpts...)...)
+// checksum. The instance runs on the harness engine unless vmOpts pin
+// another.
+func (h Harness) runOnce(p *vm.Program, input []byte, args []int64, rt func(*vm.VM), vmOpts ...vm.Option) (time.Duration, int64, error) {
+	v, err := p.NewInstance(append([]vm.Option{vm.WithInput(input), vm.WithEngine(h.Engine)}, vmOpts...)...)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -83,8 +102,8 @@ func runOnce(p *vm.Program, input []byte, args []int64, rt func(*vm.VM), vmOpts 
 // run itself, not validation and layout. All reps of one workload run
 // on the caller's goroutine — a parallel experiment pins each
 // workload's timings to one worker.
-func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config, vmOpts ...vm.Option) (base, polar time.Duration, rt *core.Runtime, perf vm.Perf, err error) {
-	baseProg, err := vm.Compile(ir.Clone(w.Module))
+func (h Harness) measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config, vmOpts ...vm.Option) (base, polar time.Duration, rt *core.Runtime, perf vm.Perf, err error) {
+	baseProg, err := vm.CompileWith(ir.Clone(w.Module), h.Compile)
 	if err != nil {
 		return 0, 0, nil, perf, fmt.Errorf("%s: %w", w.Name, err)
 	}
@@ -92,7 +111,7 @@ func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config
 	if err != nil {
 		return 0, 0, nil, perf, fmt.Errorf("%s: instrument: %w", w.Name, err)
 	}
-	insProg, err := vm.Compile(ins.Module)
+	insProg, err := vm.CompileWith(ins.Module, h.Compile)
 	if err != nil {
 		return 0, 0, nil, perf, fmt.Errorf("%s: instrumented: %w", w.Name, err)
 	}
@@ -110,7 +129,7 @@ func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config
 	base, polar = time.Duration(1<<62), time.Duration(1<<62)
 	runSeed := seed
 	for i := 0; i < reps; i++ {
-		d, sum, err := runOnce(baseProg, w.Input, w.Args, nil, vmOpts...)
+		d, sum, err := h.runOnce(baseProg, w.Input, w.Args, nil, vmOpts...)
 		if err != nil {
 			return 0, 0, nil, perf, fmt.Errorf("%s: baseline: %w", w.Name, err)
 		}
@@ -125,7 +144,7 @@ func measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config
 
 		runSeed++
 		var hv *vm.VM
-		d, sum, err = runOnce(insProg, w.Input, w.Args, func(v *vm.VM) {
+		d, sum, err = h.runOnce(insProg, w.Input, w.Args, func(v *vm.VM) {
 			c := cfg
 			c.Seed = runSeed
 			c.Interner = interner

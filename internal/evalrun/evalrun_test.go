@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"polar/internal/vm"
 	"polar/internal/workload"
 )
 
@@ -12,7 +13,7 @@ import (
 // measurement methodology is exercised by cmd/polarbench).
 
 func TestTableIStructure(t *testing.T) {
-	rows, err := TableI(0, 1) // no fuzzing: canonical inputs only
+	rows, err := Harness{}.TableI(0, 1) // no fuzzing: canonical inputs only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestTableIStructure(t *testing.T) {
 }
 
 func TestTableIIIStructure(t *testing.T) {
-	rows, err := TableIII(5)
+	rows, err := Harness{}.TableIII(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestTableIIIStructure(t *testing.T) {
 }
 
 func TestTableIVAllCVEsDiscovered(t *testing.T) {
-	rows, err := TableIV()
+	rows, err := Harness{}.TableIV()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestFigure6SmokeAndChecksumGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	rows, err := Figure6(1, 3)
+	rows, err := Harness{}.Figure6(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestJSRowDiffDirection(t *testing.T) {
 }
 
 func TestSecurityReportStructure(t *testing.T) {
-	rep, err := Security(40, 5)
+	rep, err := Harness{}.Security(40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,33 +176,77 @@ func TestSecurityReportStructure(t *testing.T) {
 	}
 }
 
+// TestAblationStructure checks the grid's shape and each arm's defining
+// numbers under three harness configurations, which also proves the
+// harness engine and compile options reach every measured VM: on the
+// legacy engine nothing fuses, and disabling generalized fusion changes
+// the default arm's fused-dispatch count. The harnesses share no state,
+// so the three grids run concurrently.
 func TestAblationStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	rows, err := Ablation(1, 5)
-	if err != nil {
-		t.Fatal(err)
+	harnesses := []struct {
+		name string
+		h    Harness
+	}{
+		{"zero", Harness{}},
+		{"legacy", Harness{Engine: vm.EngineLegacy}},
+		{"fusion-off", Harness{Compile: vm.CompileOpts{FusionTopK: -1}}},
 	}
-	if len(rows) != 8*3 {
-		t.Fatalf("rows = %d, want 24", len(rows))
-	}
-	out := RenderAblation(rows)
-	for _, cfg := range []string{"no-cache", "legacy-engine", "stateless"} {
-		if !strings.Contains(out, cfg) {
-			t.Errorf("render missing config name %q", cfg)
+	// fusedDefault[i] maps app -> the default arm's FusedDispatches
+	// under harnesses[i].
+	fusedDefault := make([]map[string]uint64, len(harnesses))
+	t.Run("harnesses", func(t *testing.T) {
+		for i, tc := range harnesses {
+			t.Run(tc.name, func(t *testing.T) {
+				t.Parallel()
+				rows, err := tc.h.Ablation(1, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != 8*3 {
+					t.Fatalf("rows = %d, want 24", len(rows))
+				}
+				out := RenderAblation(rows)
+				for _, cfg := range []string{"no-cache", "legacy-engine", "stateless"} {
+					if !strings.Contains(out, cfg) {
+						t.Errorf("render missing config name %q", cfg)
+					}
+				}
+				fusedDefault[i] = map[string]uint64{}
+				// The stateless arm's defining numbers: zero metadata probes,
+				// zero metadata bytes per live object; metadata arms probe the
+				// table.
+				for _, r := range rows {
+					if r.Config == "stateless" {
+						if r.MetaProbes != 0 || r.MetaBytesPerLive != 0 {
+							t.Errorf("stateless/%s: probes=%d bytes/obj=%v, want 0/0", r.App, r.MetaProbes, r.MetaBytesPerLive)
+						}
+					}
+					if r.Config == "default" {
+						if r.MetaProbes == 0 {
+							t.Errorf("default/%s: MetaProbes = 0, want metadata-table lookups", r.App)
+						}
+						fusedDefault[i][r.App] = r.FusedDispatches
+					}
+					if (tc.h.Engine == vm.EngineLegacy || r.Config == legacyEngineConfig) && r.FusedDispatches != 0 {
+						t.Errorf("%s/%s on the legacy engine: FusedDispatches = %d, want 0", r.Config, r.App, r.FusedDispatches)
+					}
+				}
+			})
 		}
+	})
+	zero, off := fusedDefault[0], fusedDefault[2]
+	if len(zero) == 0 || len(off) == 0 {
+		t.Fatal("missing default rows")
 	}
-	// The stateless arm's defining numbers: zero metadata probes, zero
-	// metadata bytes per live object; metadata arms probe the table.
-	for _, r := range rows {
-		if r.Config == "stateless" {
-			if r.MetaProbes != 0 || r.MetaBytesPerLive != 0 {
-				t.Errorf("stateless/%s: probes=%d bytes/obj=%v, want 0/0", r.App, r.MetaProbes, r.MetaBytesPerLive)
-			}
+	for app, n := range zero {
+		if n == 0 {
+			t.Errorf("default/%s: FusedDispatches = 0 under the static pipeline", app)
 		}
-		if r.Config == "default" && r.MetaProbes == 0 {
-			t.Errorf("default/%s: MetaProbes = 0, want metadata-table lookups", r.App)
+		if off[app] == n {
+			t.Errorf("default/%s: FusedDispatches = %d with and without generalized fusion; the harness compile options did not reach the compile", app, n)
 		}
 	}
 }

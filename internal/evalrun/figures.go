@@ -23,15 +23,15 @@ type OverheadRow struct {
 // Figure6 measures the SPEC2006 overheads (Fig. 6). reps is the number
 // of repetitions per configuration (min taken). Apps run across the
 // worker pool; all reps of one app stay on one worker.
-func Figure6(reps int, seed int64) ([]OverheadRow, error) {
+func (h Harness) Figure6(reps int, seed int64) ([]OverheadRow, error) {
 	ws := workload.SPECFig6()
 	rows := make([]OverheadRow, len(ws))
-	err := forEach(len(ws), func(i int) error {
+	err := ForEach(len(ws), h.Workers, func(i int) error {
 		w := ws[i]
-		sp := Span(w.Name, "fig6")
+		sp := h.Span(w.Name, "fig6")
 		defer sp.End()
 		tseed := TaskSeed(seed, "fig6/"+w.Name)
-		base, polar, _, _, err := measureWorkload(w, reps, tseed, core.DefaultConfig(tseed))
+		base, polar, _, _, err := h.measureWorkload(w, reps, tseed, core.DefaultConfig(tseed))
 		if err != nil {
 			return err
 		}
@@ -89,14 +89,14 @@ func (r JSRow) DiffPct() float64 {
 
 // Figure7 measures all 67 JS kernels (Fig. 7 a–d). Kernels run across
 // the worker pool; all reps of one kernel stay on one worker.
-func Figure7(reps int, seed int64) ([]JSRow, error) {
+func (h Harness) Figure7(reps int, seed int64) ([]JSRow, error) {
 	ks := workload.JSBenchmarks()
 	rows := make([]JSRow, len(ks))
-	err := forEach(len(ks), func(i int) error {
+	err := ForEach(len(ks), h.Workers, func(i int) error {
 		k := ks[i]
-		sp := Span(k.Suite+"/"+k.Name, "fig7")
+		sp := h.Span(k.Suite+"/"+k.Name, "fig7")
 		defer sp.End()
-		base, polar, err := measureJSKernel(k, reps, TaskSeed(seed, "fig7/"+k.Suite+"/"+k.Name))
+		base, polar, err := h.measureJSKernel(k, reps, TaskSeed(seed, "fig7/"+k.Suite+"/"+k.Name))
 		if err != nil {
 			return err
 		}
@@ -119,9 +119,9 @@ func Figure7(reps int, seed int64) ([]JSRow, error) {
 	return rows, nil
 }
 
-func measureJSKernel(k *workload.JSKernel, reps int, seed int64) (base, polar time.Duration, err error) {
+func (h Harness) measureJSKernel(k *workload.JSKernel, reps int, seed int64) (base, polar time.Duration, err error) {
 	w := &workload.Workload{Name: k.Suite + "/" + k.Name, Module: k.Module, Input: k.Input}
-	base, polar, _, _, err = measureWorkload(w, reps, seed, core.DefaultConfig(seed))
+	base, polar, _, _, err = h.measureWorkload(w, reps, seed, core.DefaultConfig(seed))
 	return base, polar, err
 }
 

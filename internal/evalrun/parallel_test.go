@@ -79,17 +79,16 @@ func TestTaskSeedStableAndDistinct(t *testing.T) {
 // width.
 func TestParallelMatchesSerial(t *testing.T) {
 	run := func(workers int) (string, string, string) {
-		SetParallelism(workers)
-		defer SetParallelism(0)
-		t1, err := TableI(4, 11)
+		h := Harness{Workers: workers}
+		t1, err := h.TableI(4, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t3, err := TableIII(11)
+		t3, err := h.TableIII(11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sec, err := Security(8, 11)
+		sec, err := h.Security(8, 11)
 		if err != nil {
 			t.Fatal(err)
 		}

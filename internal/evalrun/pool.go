@@ -8,24 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// parallelism is the experiment fan-out width (see SetParallelism).
-// The harness state is package-level, matching SetTracer: configure it
-// before running experiments.
-var parallelism = runtime.GOMAXPROCS(0)
-
-// SetParallelism sets how many experiment sub-steps (workloads,
-// kernels, CVE cases, defenses) run concurrently. n < 1 restores the
-// default, GOMAXPROCS. Width 1 is fully serial.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	parallelism = n
-}
-
-// Parallelism returns the current fan-out width.
-func Parallelism() int { return parallelism }
-
 // TaskSeed derives the seed one named task runs under: a hash of the
 // root seed and the task's stable identifier. Every task's randomness
 // is therefore a pure function of (rootSeed, taskID) — independent of
@@ -94,10 +76,4 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// forEach runs fn(0..n-1) at the package-level Parallelism width (the
-// experiment harness's fan-out knob; see SetParallelism).
-func forEach(n int, fn func(i int) error) error {
-	return ForEach(n, parallelism, fn)
 }

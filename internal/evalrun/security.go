@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"polar/internal/exploit"
+	"polar/internal/vm"
 )
 
 // SecurityReport aggregates the §III/§V.C attack experiments.
@@ -22,9 +23,10 @@ type SecurityReport struct {
 // Security runs every scenario × defense cell plus the repeatability,
 // persistence and inter-chunk experiments. The per-defense experiments
 // run across the worker pool under task-derived seeds.
-func Security(trials int, seed int64) (*SecurityReport, error) {
-	sp := Span("attack-matrix", "security")
-	matrix, err := exploit.RunAll(trials, seed)
+func (h Harness) Security(trials int, seed int64) (*SecurityReport, error) {
+	eng := vm.WithEngine(h.Engine)
+	sp := h.Span("attack-matrix", "security")
+	matrix, err := exploit.RunAll(trials, seed, eng)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -33,17 +35,17 @@ func Security(trials int, seed int64) (*SecurityReport, error) {
 	defs := exploit.AllDefenses()
 	rep.Repeats = make([]exploit.RepeatResult, len(defs))
 	rep.Persistence = make([]exploit.PersistenceResult, len(defs))
-	err = forEach(len(defs), func(i int) error {
+	err = ForEach(len(defs), h.Workers, func(i int) error {
 		def := defs[i]
-		sp := Span(fmt.Sprintf("repeat+persist/%s", def), "security")
+		sp := h.Span(fmt.Sprintf("repeat+persist/%s", def), "security")
 		defer sp.End()
 		tseed := TaskSeed(seed, "security/"+def.String())
-		r, err := exploit.RunRepeatability(def, trials/2, tseed)
+		r, err := exploit.RunRepeatability(def, trials/2, tseed, eng)
 		if err != nil {
 			return err
 		}
 		rep.Repeats[i] = r
-		p, err := exploit.RunPersistence(def, trials/4, 10, tseed)
+		p, err := exploit.RunPersistence(def, trials/4, 10, tseed, eng)
 		if err != nil {
 			return err
 		}
@@ -53,8 +55,8 @@ func Security(trials int, seed int64) (*SecurityReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp = Span("inter-chunk", "security")
-	rep.InterChunk, err = exploit.RunInterChunkComparison(trials, seed)
+	sp = h.Span("inter-chunk", "security")
+	rep.InterChunk, err = exploit.RunInterChunkComparison(trials, seed, eng)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -50,7 +50,7 @@ type SeedingRow struct {
 // seedingRun executes one hardened program once with a deterministic
 // execution trace attached, returning the encoded trace and the run's
 // engine perf counters.
-func seedingRun(ins *instrument.Result, p *vm.Program, w *workload.Workload, seed int64) ([]byte, vm.Perf, error) {
+func (h Harness) seedingRun(ins *instrument.Result, p *vm.Program, w *workload.Workload, seed int64) ([]byte, vm.Perf, error) {
 	var buf bytes.Buffer
 	xw := exectrace.NewWriter(&buf)
 	tel := telemetry.New()
@@ -59,7 +59,7 @@ func seedingRun(ins *instrument.Result, p *vm.Program, w *workload.Workload, see
 	cfg.Telemetry = tel
 	cfg.ExecTrace = xw
 	var hv *vm.VM
-	_, _, err := runOnce(p, w.Input, w.Args, func(v *vm.VM) {
+	_, _, err := h.runOnce(p, w.Input, w.Args, func(v *vm.VM) {
 		core.New(ins.Table, cfg).Attach(v)
 		hv = v
 	}, vm.WithTelemetry(tel), vm.WithExecTrace(xw))
@@ -75,12 +75,12 @@ func seedingRun(ins *instrument.Result, p *vm.Program, w *workload.Workload, see
 // Seeding runs the seeded-vs-unseeded differential over every workload.
 // Deterministic at any parallelism: each workload's seed derives from
 // (seed, app name) and rows come back in catalog order.
-func Seeding(seed int64) ([]SeedingRow, error) {
+func (h Harness) Seeding(seed int64) ([]SeedingRow, error) {
 	ws := workload.All()
 	rows := make([]SeedingRow, len(ws))
-	err := forEach(len(ws), func(i int) error {
+	err := ForEach(len(ws), h.Workers, func(i int) error {
 		w := ws[i]
-		sp := Span(w.Name, "seeding")
+		sp := h.Span(w.Name, "seeding")
 		defer sp.End()
 		tseed := TaskSeed(seed, "seeding/"+w.Name)
 
@@ -91,22 +91,22 @@ func Seeding(seed int64) ([]SeedingRow, error) {
 		if err != nil {
 			return fmt.Errorf("%s: instrument: %w", w.Name, err)
 		}
-		unseeded, err := vm.Compile(ins.Module)
+		unseeded, err := vm.CompileWith(ins.Module, h.Compile)
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", w.Name, err)
 		}
-		opts := vm.DefaultPGO()
+		opts := h.Compile
 		opts.Facts = res.Sites.CompileFacts()
 		seeded, err := vm.CompileWith(ins.Module, opts)
 		if err != nil {
 			return fmt.Errorf("%s: seeded compile: %w", w.Name, err)
 		}
 
-		traceU, perfU, err := seedingRun(ins, unseeded, w, tseed)
+		traceU, perfU, err := h.seedingRun(ins, unseeded, w, tseed)
 		if err != nil {
 			return fmt.Errorf("%s: unseeded run: %w", w.Name, err)
 		}
-		traceS, perfS, err := seedingRun(ins, seeded, w, tseed)
+		traceS, perfS, err := h.seedingRun(ins, seeded, w, tseed)
 		if err != nil {
 			return fmt.Errorf("%s: seeded run: %w", w.Name, err)
 		}
@@ -218,7 +218,7 @@ func PublishSeeding(rows []SeedingRow, reg *telemetry.Registry) {
 // seededHitPct measures one seeded hardened run's IC hit rate for the
 // ablation grid's last column: the same analyze→seed→compile pipeline,
 // one run under cfg (with cfg.Seed set to seed).
-func seededHitPct(app string, cfg core.Config, seed int64, vmOpts ...vm.Option) (float64, error) {
+func (h Harness) seededHitPct(app string, cfg core.Config, seed int64, vmOpts ...vm.Option) (float64, error) {
 	w, err := workload.ByName(app)
 	if err != nil {
 		return 0, err
@@ -228,7 +228,7 @@ func seededHitPct(app string, cfg core.Config, seed int64, vmOpts ...vm.Option) 
 	if err != nil {
 		return 0, fmt.Errorf("%s: instrument: %w", app, err)
 	}
-	opts := vm.DefaultPGO()
+	opts := h.Compile
 	opts.Facts = res.Sites.CompileFacts()
 	p, err := vm.CompileWith(ins.Module, opts)
 	if err != nil {
@@ -236,7 +236,7 @@ func seededHitPct(app string, cfg core.Config, seed int64, vmOpts ...vm.Option) 
 	}
 	cfg.Seed = seed
 	var hv *vm.VM
-	if _, _, err := runOnce(p, w.Input, w.Args, func(v *vm.VM) {
+	if _, _, err := h.runOnce(p, w.Input, w.Args, func(v *vm.VM) {
 		core.New(ins.Table, cfg).Attach(v)
 		hv = v
 	}, vmOpts...); err != nil {

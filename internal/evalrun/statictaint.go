@@ -52,12 +52,12 @@ func (r StaticTaintRow) Precision() float64 {
 // StaticTaint runs both analyses over every application workload.
 // fuzzIters bounds the dynamic campaign exactly as TableI does (0 =
 // canonical input only).
-func StaticTaint(fuzzIters int, seed int64) ([]StaticTaintRow, error) {
+func (h Harness) StaticTaint(fuzzIters int, seed int64) ([]StaticTaintRow, error) {
 	ws := workload.All()
 	rows := make([]StaticTaintRow, len(ws))
-	err := forEach(len(ws), func(i int) error {
+	err := ForEach(len(ws), h.Workers, func(i int) error {
 		w := ws[i]
-		sp := Span(w.Name, "static_taint")
+		sp := h.Span(w.Name, "static_taint")
 		defer sp.End()
 		tseed := TaskSeed(seed, "static/"+w.Name)
 
@@ -66,6 +66,7 @@ func StaticTaint(fuzzIters int, seed int64) ([]StaticTaintRow, error) {
 		if fuzzIters > 0 {
 			fr, err := fuzz.Run(w.Module, corpus, fuzz.Config{
 				Iterations: fuzzIters, MaxInputLen: 4096, Seed: tseed, Fuel: 30_000_000, Args: w.Args,
+				Engine: h.Engine,
 			})
 			if err != nil {
 				return fmt.Errorf("%s: fuzz: %w", w.Name, err)

@@ -10,7 +10,7 @@ import (
 // dynamic campaign marks must also be marked statically (recall 1.0).
 // Runs the canonical input only (fuzzIters=0) to stay test-speed.
 func TestStaticTaintRecall(t *testing.T) {
-	rows, err := StaticTaint(0, 11)
+	rows, err := Harness{}.StaticTaint(0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,12 @@ type TaintRow struct {
 // analyze only the canonical input). Apps run across the worker pool;
 // each fuzzes under its task-derived seed, so the rows are identical
 // at any parallelism.
-func TableI(fuzzIters int, seed int64) ([]TaintRow, error) {
+func (h Harness) TableI(fuzzIters int, seed int64) ([]TaintRow, error) {
 	ws := workload.All()
 	rows := make([]TaintRow, len(ws))
-	err := forEach(len(ws), func(i int) error {
+	err := ForEach(len(ws), h.Workers, func(i int) error {
 		w := ws[i]
-		sp := Span(w.Name, "table1")
+		sp := h.Span(w.Name, "table1")
 		defer sp.End()
 		tseed := TaskSeed(seed, "table1/"+w.Name)
 		corpus := [][]byte{w.Input}
@@ -42,6 +42,7 @@ func TableI(fuzzIters int, seed int64) ([]TaintRow, error) {
 		if fuzzIters > 0 {
 			fr, err := fuzz.Run(w.Module, corpus, fuzz.Config{
 				Iterations: fuzzIters, MaxInputLen: 4096, Seed: tseed, Fuel: 30_000_000, Args: w.Args,
+				Engine: h.Engine,
 			})
 			if err != nil {
 				return fmt.Errorf("%s: fuzz: %w", w.Name, err)
@@ -113,18 +114,22 @@ func (r CounterRow) CacheHitRate() float64 {
 // TableIII runs each SPEC mini-app hardened and reports the runtime
 // counters (the scaled-down analogue of the paper's Table III). Apps
 // run across the worker pool under task-derived seeds.
-func TableIII(seed int64) ([]CounterRow, error) {
+func (h Harness) TableIII(seed int64) ([]CounterRow, error) {
 	ws := workload.SPECFig6()
 	rows := make([]CounterRow, len(ws))
-	err := forEach(len(ws), func(i int) error {
+	err := ForEach(len(ws), h.Workers, func(i int) error {
 		w := ws[i]
-		sp := Span(w.Name, "table3")
+		sp := h.Span(w.Name, "table3")
 		defer sp.End()
 		ins, err := instrument.Apply(w.Module, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
-		v, err := vm.New(ins.Module, vm.WithInput(w.Input))
+		p, err := vm.CompileWith(ins.Module, h.Compile)
+		if err != nil {
+			return err
+		}
+		v, err := p.NewInstance(vm.WithInput(w.Input), vm.WithEngine(h.Engine))
 		if err != nil {
 			return err
 		}
@@ -173,12 +178,12 @@ type CVERow struct {
 // mini-libpng parser and checks the exploit-related objects are
 // discovered. Cases run across the worker pool, each against its own
 // parser module (workload constructors build fresh modules).
-func TableIV() ([]CVERow, error) {
+func (h Harness) TableIV() ([]CVERow, error) {
 	cases := workload.LibPNGCVECases()
 	rows := make([]CVERow, len(cases))
-	err := forEach(len(cases), func(i int) error {
+	err := ForEach(len(cases), h.Workers, func(i int) error {
 		c := cases[i]
-		sp := Span("CVE-"+c.CVE, "table4")
+		sp := h.Span("CVE-"+c.CVE, "table4")
 		defer sp.End()
 		rep, err := taint.AnalyzeOne(workload.LibPNG().Module, c.Input, taint.RunOptions{
 			IgnoreRunErrors: true, Fuel: 30_000_000,

@@ -33,25 +33,9 @@ type TraceRow struct {
 	Divergence string
 }
 
-// rekeyEpoch is the stateless-mode epoch-rekey period the trace suite
-// runs under (see SetRekeyEpoch). Package-level like SetParallelism:
-// configure before running experiments.
-var rekeyEpoch int
-
-// SetRekeyEpoch sets the stateless rekey period (advance the derivation
-// epoch every n instrumented frees) for trace runs; n <= 0 disables
-// rekeying, the default. With a schedule set, the cross-engine gate also
-// exercises the epoch-advance and live-object remap paths.
-func SetRekeyEpoch(n int) {
-	if n < 0 {
-		n = 0
-	}
-	rekeyEpoch = n
-}
-
 // traceOne runs the hardened program once with a trace writer attached
 // and returns the encoded trace.
-func traceOne(ins *instrument.Result, p *vm.Program, w *workload.Workload, seed int64, eng vm.Engine, mode core.LayoutMode) ([]byte, error) {
+func (h Harness) traceOne(ins *instrument.Result, p *vm.Program, w *workload.Workload, seed int64, eng vm.Engine, mode core.LayoutMode) ([]byte, error) {
 	var buf bytes.Buffer
 	xw := exectrace.NewWriter(&buf)
 	tel := telemetry.New()
@@ -61,9 +45,9 @@ func traceOne(ins *instrument.Result, p *vm.Program, w *workload.Workload, seed 
 	cfg.ExecTrace = xw
 	cfg.LayoutMode = mode
 	if mode == core.LayoutModeStateless {
-		cfg.RekeyEvery = rekeyEpoch
+		cfg.RekeyEvery = h.RekeyEvery
 	}
-	_, _, err := runOnce(p, w.Input, w.Args, func(v *vm.VM) {
+	_, _, err := h.runOnce(p, w.Input, w.Args, func(v *vm.VM) {
 		core.New(ins.Table, cfg).Attach(v)
 	}, vm.WithEngine(eng), vm.WithTelemetry(tel), vm.WithExecTrace(xw))
 	if err != nil {
@@ -84,7 +68,7 @@ func traceOne(ins *instrument.Result, p *vm.Program, w *workload.Workload, seed 
 // stateless. Deterministic at any parallelism: each (mode, workload)
 // cell's seed derives from (seed, mode, app name), and the rows come
 // back in mode-major catalog order.
-func Traces(dir string, seed int64, modes ...core.LayoutMode) ([]TraceRow, error) {
+func (h Harness) Traces(dir string, seed int64, modes ...core.LayoutMode) ([]TraceRow, error) {
 	if len(modes) == 0 {
 		modes = []core.LayoutMode{core.LayoutModeMetadata, core.LayoutModeStateless}
 	}
@@ -100,9 +84,9 @@ func Traces(dir string, seed int64, modes ...core.LayoutMode) ([]TraceRow, error
 		}
 	}
 	rows := make([]TraceRow, len(cells))
-	if err := ForEach(len(cells), 0, func(i int) error {
+	if err := ForEach(len(cells), h.Workers, func(i int) error {
 		mode, w := cells[i].mode, cells[i].w
-		sp := Span("traces/"+mode.String()+"/"+w.Name, "workload")
+		sp := h.Span("traces/"+mode.String()+"/"+w.Name, "workload")
 		defer sp.End()
 		// Metadata mode keeps its pre-modes seed id (and file names), so
 		// existing golden traces and dashboards stay comparable.
@@ -115,15 +99,15 @@ func Traces(dir string, seed int64, modes ...core.LayoutMode) ([]TraceRow, error
 		if err != nil {
 			return fmt.Errorf("%s: instrument: %w", w.Name, err)
 		}
-		p, err := vm.Compile(ins.Module)
+		p, err := vm.CompileWith(ins.Module, h.Compile)
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", w.Name, err)
 		}
-		bc, err := traceOne(ins, p, w, tseed, vm.EngineBytecode, mode)
+		bc, err := h.traceOne(ins, p, w, tseed, vm.EngineBytecode, mode)
 		if err != nil {
 			return fmt.Errorf("%s/%s: bytecode: %w", mode, w.Name, err)
 		}
-		lg, err := traceOne(ins, p, w, tseed, vm.EngineLegacy, mode)
+		lg, err := h.traceOne(ins, p, w, tseed, vm.EngineLegacy, mode)
 		if err != nil {
 			return fmt.Errorf("%s/%s: legacy: %w", mode, w.Name, err)
 		}

@@ -32,6 +32,9 @@ type Config struct {
 	Fuel uint64
 	// Args are passed to @main on every execution.
 	Args []int64
+	// Engine executes every input (the zero value is the bytecode
+	// engine); campaigns are identical on either.
+	Engine vm.Engine
 	// Telemetry, when non-nil, receives an EvCorpusAdd event per
 	// coverage-increasing input and campaign counters (fuzz.execs,
 	// fuzz.crashers, fuzz.edges) in its registry.
@@ -58,8 +61,13 @@ type Result struct {
 	Edges int
 }
 
-// Run executes a campaign against the module's @main.
+// Run executes a campaign against the module's @main. The module is
+// compiled once; every execution runs on a fresh instance.
 func Run(m *ir.Module, seeds [][]byte, cfg Config) (*Result, error) {
+	prog, err := vm.Compile(m)
+	if err != nil {
+		return nil, fmt.Errorf("fuzz: %w", err)
+	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1000
 	}
@@ -71,11 +79,11 @@ func Run(m *ir.Module, seeds [][]byte, cfg Config) (*Result, error) {
 	seen := make([]byte, 1<<16)
 
 	execute := func(input []byte) (newCov bool, crashed bool, err error) {
-		opts := []vm.Option{vm.WithInput(input), vm.WithCoverage()}
+		opts := []vm.Option{vm.WithInput(input), vm.WithCoverage(), vm.WithEngine(cfg.Engine)}
 		if cfg.Fuel > 0 {
 			opts = append(opts, vm.WithFuel(cfg.Fuel))
 		}
-		v, err := vm.New(m, opts...)
+		v, err := prog.NewInstance(opts...)
 		if err != nil {
 			return false, false, err
 		}

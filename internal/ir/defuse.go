@@ -71,8 +71,8 @@ func (du *DefUse) UndefinedUses(c *CFG) []UndefinedUse {
 		return nil
 	}
 	words := (f.NumRegs + 63) / 64
-	gen := make([][]uint64, nb)   // registers defined inside each block
-	out := make([][]uint64, nb)   // may-be-defined at block exit
+	gen := make([][]uint64, nb) // registers defined inside each block
+	out := make([][]uint64, nb) // may-be-defined at block exit
 	entry := make([]uint64, words)
 	for i := 0; i < len(f.Params) && i < f.NumRegs; i++ {
 		entry[i/64] |= 1 << (i % 64)

@@ -32,9 +32,14 @@ const shadowPageBits = 12
 const shadowPageSize = 1 << shadowPageBits
 
 // shadowMem is byte-granular label storage (DFSan's shadow memory).
+// Pages exist only where a nonzero label was ever written: reads of a
+// missing page return 0 and writes of label 0 to one are no-ops, so
+// zero-filling (or reading) untouched memory costs no shadow space.
 type shadowMem struct {
 	pages map[uint64][]Label
 
+	// lastIdx/lastPage cache the most recent lookup, misses included
+	// (lastPage nil).
 	lastIdx  uint64
 	lastPage []Label
 }
@@ -43,12 +48,14 @@ func newShadowMem() *shadowMem {
 	return &shadowMem{pages: make(map[uint64][]Label), lastIdx: ^uint64(0)}
 }
 
-func (s *shadowMem) page(idx uint64) []Label {
-	if idx == s.lastIdx {
+// page returns shadow page idx, or nil if it does not exist and create
+// is false.
+func (s *shadowMem) page(idx uint64, create bool) []Label {
+	if idx == s.lastIdx && (s.lastPage != nil || !create) {
 		return s.lastPage
 	}
-	p, ok := s.pages[idx]
-	if !ok {
+	p := s.pages[idx]
+	if p == nil && create {
 		p = make([]Label, shadowPageSize)
 		s.pages[idx] = p
 	}
@@ -57,11 +64,16 @@ func (s *shadowMem) page(idx uint64) []Label {
 }
 
 func (s *shadowMem) get(addr uint64) Label {
-	return s.page(addr >> shadowPageBits)[addr&(shadowPageSize-1)]
+	if p := s.page(addr>>shadowPageBits, false); p != nil {
+		return p[addr&(shadowPageSize-1)]
+	}
+	return 0
 }
 
 func (s *shadowMem) set(addr uint64, l Label) {
-	s.page(addr >> shadowPageBits)[addr&(shadowPageSize-1)] = l
+	if p := s.page(addr>>shadowPageBits, l != 0); p != nil {
+		p[addr&(shadowPageSize-1)] = l
+	}
 }
 
 func (s *shadowMem) rangeOr(addr uint64, n int) Label {
@@ -72,9 +84,19 @@ func (s *shadowMem) rangeOr(addr uint64, n int) Label {
 	return l
 }
 
+// setRange labels [addr, addr+n) page by page, so a zero fill skips
+// missing pages whole.
 func (s *shadowMem) setRange(addr uint64, n int, l Label) {
-	for i := 0; i < n; i++ {
-		s.set(addr+uint64(i), l)
+	for n > 0 {
+		lo := int(addr & (shadowPageSize - 1))
+		hi := min(lo+n, shadowPageSize)
+		if p := s.page(addr>>shadowPageBits, l != 0); p != nil {
+			for i := lo; i < hi; i++ {
+				p[i] = l
+			}
+		}
+		addr += uint64(hi - lo)
+		n -= hi - lo
 	}
 }
 

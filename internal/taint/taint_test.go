@@ -178,13 +178,10 @@ func TestFreshAllocationStartsClean(t *testing.T) {
 	b.Store(ir.I64, w, slot)
 	b.Ret(ir.Const(0))
 
-	rep := NewReport()
-	eng := NewEngine(rep)
-	// Manual wiring to inspect the engine state on the second object.
-	if err := analyzeInto(m, []byte{77}, RunOptions{}, rep); err != nil {
+	rep, err := AnalyzeOne(m, []byte{77}, RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_ = eng
 	// The report records the FIRST store (tainted); that is correct.
 	// What must NOT happen is growth of tainted fields via the stale
 	// load — field "v" is the only one either way, so check the second
@@ -276,6 +273,44 @@ func TestShadowMemRanges(t *testing.T) {
 	s.setRange(base, 8, 5)
 	if got := s.rangeOr(base, 8); got != 5 {
 		t.Fatalf("cross-page = %d", got)
+	}
+}
+
+// TestShadowMemZeroFillIsSparse pins the sparse shadow: reading or
+// zero-filling untouched memory creates no pages, while labels written
+// before a partial zero fill read back exactly outside it.
+func TestShadowMemZeroFillIsSparse(t *testing.T) {
+	s := newShadowMem()
+	const huge = 64 << 20 // a 64 MiB zero fill, as a large malloc clears
+	s.setRange(1<<32, huge, 0)
+	if got := s.rangeOr(1<<32, huge); got != 0 || s.get(1<<32+12345) != 0 {
+		t.Fatalf("untouched memory reads %d, want 0", got)
+	}
+	if len(s.pages) != 0 {
+		t.Fatalf("zero fill and reads created %d shadow pages, want 0", len(s.pages))
+	}
+
+	base := uint64(3*shadowPageSize - 16) // straddles a page boundary
+	s.setRange(base, 32, 6)
+	s.set(base+40, 1)
+	s.setRange(base+8, 16, 0) // clear the middle, across the boundary
+	for i := uint64(0); i < 48; i++ {
+		want := Label(0)
+		switch {
+		case i < 8 || (i >= 24 && i < 32):
+			want = 6
+		case i == 40:
+			want = 1
+		}
+		if got := s.get(base + i); got != want {
+			t.Errorf("label at base+%d = %d, want %d", i, got, want)
+		}
+	}
+	if got := s.rangeOr(base, 48); got != 7 {
+		t.Errorf("rangeOr over the mixed range = %d, want 7", got)
+	}
+	if len(s.pages) != 2 {
+		t.Errorf("shadow pages = %d, want the 2 pages labels were written to", len(s.pages))
 	}
 }
 

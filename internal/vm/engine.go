@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Engine selects the execution strategy for a VM instance.
 //
@@ -57,22 +54,10 @@ func ParseEngine(s string) (Engine, error) {
 	}
 }
 
-// defaultEngine is the engine instances use when no WithEngine option
-// is given. Atomic so a CLI may flip it at startup while experiment
-// harnesses stamp instances from other goroutines.
-var defaultEngine atomic.Uint32
-
-// SetDefaultEngine sets the engine used by instances created without an
-// explicit WithEngine option (the polarun/polarbench -engine flag).
-func SetDefaultEngine(e Engine) { defaultEngine.Store(uint32(e)) }
-
-// DefaultEngine returns the process-wide default engine.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// WithEngine pins the execution engine for this instance, overriding
-// the process default.
+// WithEngine pins the execution engine for this instance. Without it
+// an instance runs EngineBytecode, the zero Engine.
 func WithEngine(e Engine) Option {
-	return func(v *VM) { v.engine, v.engineSet = e, true }
+	return func(v *VM) { v.engine = e }
 }
 
 // Engine returns the engine this instance was configured with. The

@@ -395,27 +395,6 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-func TestDefaultEngineApplied(t *testing.T) {
-	old := DefaultEngine()
-	defer SetDefaultEngine(old)
-	m := ir.NewModule("def")
-	b := ir.NewFunc(m, "main", ir.I64)
-	b.Ret(ir.Const(0))
-
-	SetDefaultEngine(EngineLegacy)
-	if v := mustVM(t, ir.Clone(m)); v.Engine() != EngineLegacy {
-		t.Fatal("instance ignored process default")
-	}
-	// Explicit option beats the default.
-	if v := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode)); v.Engine() != EngineBytecode {
-		t.Fatal("WithEngine did not override process default")
-	}
-	SetDefaultEngine(EngineBytecode)
-	if v := mustVM(t, ir.Clone(m)); v.Engine() != EngineBytecode {
-		t.Fatal("instance ignored restored default")
-	}
-}
-
 // TestLoweringFusesPairs sanity-checks the lowered form itself: under
 // the default fuse-all plan the rich module must contain generalized
 // bcFused runs, and with generic fusion disabled (FusionTopK < 0) the

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"polar/internal/ir"
 	"polar/internal/telemetry/profile"
@@ -40,26 +39,6 @@ type CompileOpts struct {
 	// single-object monomorphic sites share one. Nil keeps the default
 	// one-fresh-slot-per-site numbering.
 	Facts *StaticFacts
-}
-
-// defaultOpts holds the process-wide compile options Compile() uses,
-// settable by flags (-pgo/-pgo-topk) before workloads compile. The
-// pointer is atomic for the same reason SetDefaultEngine's word is:
-// evalrun compiles programs from worker goroutines.
-var defaultOpts atomic.Pointer[CompileOpts]
-
-// SetDefaultPGO installs the process-default compile options used by
-// Compile (CompileWith ignores it).
-func SetDefaultPGO(opts CompileOpts) {
-	defaultOpts.Store(&opts)
-}
-
-// DefaultPGO returns the process-default compile options.
-func DefaultPGO() CompileOpts {
-	if p := defaultOpts.Load(); p != nil {
-		return *p
-	}
-	return CompileOpts{}
 }
 
 // fusableIR reports whether a source instruction may join a fused run:

@@ -71,31 +71,6 @@ func TestPGODeterministicLowering(t *testing.T) {
 	}
 }
 
-// TestPGODefaultOptsApplied: Compile consults the process-default opts
-// installed by SetDefaultPGO, and CompileWith ignores them.
-func TestPGODefaultOptsApplied(t *testing.T) {
-	defer SetDefaultPGO(DefaultPGO())
-	base, err := Compile(richModule(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetDefaultPGO(CompileOpts{FusionTopK: -1})
-	off, err := Compile(richModule(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Fingerprint() == off.Fingerprint() {
-		t.Fatal("SetDefaultPGO(FusionTopK=-1) did not reach Compile")
-	}
-	explicit, err := CompileWith(richModule(t), CompileOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicit.Fingerprint() != base.Fingerprint() {
-		t.Fatal("CompileWith consulted the process default instead of its argument")
-	}
-}
-
 // TestEnginesDifferentialUnderCompileOpts re-runs the engine
 // differential under every fusion configuration: whatever runs the
 // selector picks, the lowered program must match the tree-walker

@@ -67,11 +67,11 @@ type globalInit struct {
 // must not be mutated afterwards; Clone it first if the caller keeps
 // rewriting it.
 func Compile(m *ir.Module) (*Program, error) {
-	return CompileWith(m, DefaultPGO())
+	return CompileWith(m, CompileOpts{})
 }
 
 // CompileWith compiles under explicit optimization inputs (Compile uses
-// the process default installed by SetDefaultPGO). The same module,
+// the zero CompileOpts, the static pipeline). The same module,
 // profile and topK always produce byte-identical lowered code — see
 // Fingerprint.
 func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
@@ -273,9 +273,6 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	}
 	for _, o := range opts {
 		o(v)
-	}
-	if !v.engineSet {
-		v.engine = DefaultEngine()
 	}
 	// The slot table must exist before any RegisterBuiltin call (the
 	// defaults below, core.Runtime.Attach later) so every registration

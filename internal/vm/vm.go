@@ -165,11 +165,8 @@ type VM struct {
 	hooks    Hooks
 	builtins map[string]Builtin
 
-	// engine selects the execution strategy (see engine.go); engineSet
-	// records an explicit WithEngine so NewInstance knows whether to
-	// apply the process default.
-	engine    Engine
-	engineSet bool
+	// engine selects the execution strategy (see engine.go).
+	engine Engine
 
 	// builtinSlots is the bytecode engine's callee table: index = the
 	// Program's compile-time slot for a builtin name, value = the

@@ -92,11 +92,12 @@ type SiteProfiler = profile.SiteProfiler
 func NewSiteProfiler() *SiteProfiler { return profile.NewSiteProfiler() }
 
 // Engine selects the VM execution strategy: the lowered bytecode engine
-// (default, fast) or the tree-walking reference interpreter. The two
-// are semantically bit-identical — same results, stats, outputs and
+// (the zero value, fast) or the tree-walking reference interpreter. The
+// two are semantically bit-identical — same results, stats, outputs and
 // violation records — which the differential test suite enforces; the
-// legacy engine stays selectable so the evaluation can ablate engine
-// choice (polarun/polarbench -engine=legacy).
+// legacy engine stays selectable per run with WithEngine so the
+// evaluation can ablate engine choice (polarun/polarbench
+// -engine=legacy).
 type Engine = vm.Engine
 
 // Engine values.
@@ -107,10 +108,6 @@ const (
 
 // ParseEngine parses an -engine flag value ("bytecode" or "legacy").
 func ParseEngine(s string) (Engine, error) { return vm.ParseEngine(s) }
-
-// SetDefaultEngine sets the process-wide engine used by runs that do
-// not pass WithEngine (what the CLIs' -engine flag calls).
-func SetDefaultEngine(e Engine) { vm.SetDefaultEngine(e) }
 
 // PGOProfile is a hot-site profile exported from a prior run, used at
 // compile time to rank fusion candidates by real dynamic weight (the
@@ -126,15 +123,11 @@ func WritePGOFile(path string, p *SiteProfiler) error {
 	return profile.WritePGOFile(path, p.ExportPGO())
 }
 
-// SetDefaultPGO installs the process-wide compile options — a fusion
-// profile and a top-K bound — used by every subsequent compilation that
-// does not pass explicit options (what the CLIs' -pgo/-pgo-topk flags
-// call). A nil profile with topK 0 restores the static default.
-// IC-seeding facts installed by SetDefaultFacts are preserved.
-func SetDefaultPGO(p *PGOProfile, topK int) {
-	opts := vm.DefaultPGO()
-	opts.Profile, opts.FusionTopK = p, topK
-	vm.SetDefaultPGO(opts)
+// WithPGO compiles under a fusion profile and a top-K bound (the CLIs'
+// -pgo/-pgo-topk flags): Prepare and PrepareHardened read it, Prepared.Run
+// ignores it. A nil profile with topK 0 is the static default.
+func WithPGO(p *PGOProfile, topK int) Option {
+	return func(o *options) { o.compile.Profile, o.compile.FusionTopK = p, topK }
 }
 
 // CompileFacts is the static olr_getptr site classification consumed at
@@ -158,15 +151,10 @@ func ReadFactsFile(path string) (*CompileFacts, error) {
 	return sf.CompileFacts(), nil
 }
 
-// SetDefaultFacts merges static IC-seeding facts into the process-wide
-// compile options used by compilations that do not pass explicit
-// options (what the CLIs' -facts flag calls). Nil clears the facts;
-// PGO options installed by SetDefaultPGO are preserved.
-func SetDefaultFacts(f *CompileFacts) {
-	opts := vm.DefaultPGO()
-	opts.Facts = f
-	vm.SetDefaultPGO(opts)
-}
+// WithFacts compiles under static IC-seeding facts (the CLIs' -facts
+// flag): Prepare and PrepareHardened read it, Prepared.Run ignores it.
+// Nil keeps one fresh inline-cache slot per site.
+func WithFacts(f *CompileFacts) Option { return func(o *options) { o.compile.Facts = f } }
 
 // Parse reads the textual IR form (see internal/ir: Print/Parse).
 func Parse(src string) (*Module, error) { return ir.Parse(src) }
@@ -344,10 +332,12 @@ type options struct {
 	xtrace        *exectrace.Writer
 	runtimeObs    func(LiveRuntime)
 	engine        Engine
-	engineSet     bool
+	compile       vm.CompileOpts
 }
 
-// Option configures Run and RunHardened.
+// Option configures Prepare, Run and their hardened forms. Compile
+// options (WithPGO, WithFacts) take effect when a program is prepared;
+// the rest apply to each run.
 type Option func(*options)
 
 // WithSeed sets the randomization seed (each real execution would use
@@ -494,13 +484,11 @@ type LiveRuntime interface {
 	ViolationLog() ViolationLog
 }
 
-// WithEngine pins the execution engine for this run, overriding the
-// process default (SetDefaultEngine). Runs with WithTrace attached fall
-// back to the tree-walker regardless — instruction tracing is a
+// WithEngine selects the execution engine for this run; without it a
+// run uses EngineBytecode. Runs with WithTrace attached fall back to
+// the tree-walker regardless — instruction tracing is a
 // reference-engine facility.
-func WithEngine(e Engine) Option {
-	return func(o *options) { o.engine, o.engineSet = e, true }
-}
+func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 
 // WithRuntimeObserver registers fn to receive the live runtime just
 // before a hardened run begins executing. The runtime outlives the
@@ -555,9 +543,10 @@ type Prepared struct {
 	hardened bool
 }
 
-// Prepare compiles a baseline (unhardened) module for repeated runs.
-func Prepare(m *Module) (*Prepared, error) {
-	prog, err := vm.Compile(ir.Clone(m))
+// Prepare compiles a baseline (unhardened) module for repeated runs,
+// under the compile options among opts (WithPGO, WithFacts).
+func Prepare(m *Module, opts ...Option) (*Prepared, error) {
+	prog, err := vm.CompileWith(ir.Clone(m), compileOpts(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -565,10 +554,10 @@ func Prepare(m *Module) (*Prepared, error) {
 }
 
 // PrepareHardened compiles a hardened program for repeated runs under
-// the POLaR runtime.
-func PrepareHardened(h *Hardened) (*Prepared, error) {
+// the POLaR runtime, with the same compile options as Prepare.
+func PrepareHardened(h *Hardened, opts ...Option) (*Prepared, error) {
 	mod := ir.Clone(h.Module)
-	prog, err := vm.Compile(mod)
+	prog, err := vm.CompileWith(mod, compileOpts(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +634,7 @@ func (p *Prepared) Run(opts ...Option) (*Result, error) {
 
 // Run executes an unhardened module.
 func Run(m *Module, opts ...Option) (*Result, error) {
-	p, err := Prepare(m)
+	p, err := Prepare(m, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -678,7 +667,7 @@ func publishVM(v *vm.VM, o *options) {
 // running the same program repeatedly should PrepareHardened once and
 // Run many times.
 func RunHardened(h *Hardened, opts ...Option) (*Result, error) {
-	p, err := PrepareHardened(h)
+	p, err := PrepareHardened(h, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -737,6 +726,15 @@ func runtimeConfig(o *options, table *classinfo.Table, perClass map[uint64]layou
 	return cfg
 }
 
+// compileOpts extracts the compile-time options (WithPGO, WithFacts).
+func compileOpts(opts []Option) vm.CompileOpts {
+	var o options
+	for _, f := range opts {
+		f(&o)
+	}
+	return o.compile
+}
+
 func gather(opts []Option) *options {
 	o := &options{seed: 1}
 	for _, f := range opts {
@@ -753,7 +751,7 @@ func gather(opts []Option) *options {
 }
 
 func vmOptions(o *options) []vm.Option {
-	vmOpts := []vm.Option{vm.WithInput(o.input)}
+	vmOpts := []vm.Option{vm.WithInput(o.input), vm.WithEngine(o.engine)}
 	if o.fuel > 0 {
 		vmOpts = append(vmOpts, vm.WithFuel(o.fuel))
 	}
@@ -768,9 +766,6 @@ func vmOptions(o *options) []vm.Option {
 	}
 	if o.xtrace != nil {
 		vmOpts = append(vmOpts, vm.WithExecTrace(o.xtrace))
-	}
-	if o.engineSet {
-		vmOpts = append(vmOpts, vm.WithEngine(o.engine))
 	}
 	return vmOpts
 }
