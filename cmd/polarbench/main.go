@@ -7,14 +7,7 @@
 //	polarbench [-reps n] [-trials n] [-fuzz n] [-only table1,fig6,...]
 //	           [-seed n] [-parallel n] [-format text|csv] [-metrics]
 //	           [-prom dir] [-trace-json file] [-layout-mode all|metadata|stateless]
-//	           [-rekey-epoch n] [-pgo file] [-pgo-topk k]
-//
-// -pgo compiles every workload under a hot-site profile recorded by
-// `polarun -pgo-record` (the fuser ranks superinstruction candidates by
-// real dynamic weight); -pgo-topk bounds fusion to the K hottest runs
-// (0 = all, negative = classic pairs only). Lowered code is a pure
-// function of (module, profile, topK), so profiled builds stay
-// byte-identical across reruns — the traces experiment gates that.
+//	           [-rekey-epoch n]
 //
 // Experiments: table1, table2, table3, table4, fig6, fig7, security,
 // static, traces, seeding, ablation. Default runs all of them. seeding
@@ -58,7 +51,6 @@ import (
 	"polar/internal/core"
 	"polar/internal/evalrun"
 	"polar/internal/telemetry"
-	"polar/internal/telemetry/profile"
 	"polar/internal/vm"
 )
 
@@ -77,8 +69,6 @@ func main() {
 	exectraceDir := flag.String("exectrace", "", "traces experiment: also write each workload's per-engine execution trace to <dir>/<app>.<engine>.xt")
 	layoutMode := flag.String("layout-mode", "all", "traces experiment: layout-resolution modes to gate — all, metadata or stateless")
 	rekeyEpoch := flag.Int("rekey-epoch", 0, "stateless mode: advance the derivation epoch every n frees (0 disables)")
-	pgoPath := flag.String("pgo", "", "compile every workload under this hot-site profile (JSON from polarun -pgo-record)")
-	pgoTopK := flag.Int("pgo-topk", 0, "fuse only the K hottest candidate runs (0 = all, negative = classic pairs only)")
 	flag.Parse()
 	eng, err := vm.ParseEngine(*engine)
 	if err != nil {
@@ -88,14 +78,7 @@ func main() {
 	h := evalrun.Harness{
 		Workers:    *parallel,
 		Engine:     eng,
-		Compile:    vm.CompileOpts{FusionTopK: *pgoTopK},
 		RekeyEvery: *rekeyEpoch,
-	}
-	if *pgoPath != "" {
-		if h.Compile.Profile, err = profile.ReadPGOFile(*pgoPath); err != nil {
-			fmt.Fprintln(os.Stderr, "polarbench:", err)
-			os.Exit(2)
-		}
 	}
 	var traceModes []core.LayoutMode
 	if *layoutMode != "all" && *layoutMode != "" {

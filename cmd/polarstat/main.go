@@ -15,12 +15,9 @@
 // -lowered appends the lowered-bytecode section: per-function dispatch
 // counts vs. source instructions, fused superinstruction runs and their
 // micro-op totals, inline layout-cache sites and the operand-file width
-// after register allocation, plus the program fingerprint the
-// PGO-determinism gate pins (DESIGN.md §13). -pgo FILE/-pgo-topk K
-// compile under a recorded hot-site profile (polarun -pgo-record), the
-// same flags polarun and polarbench take; the CI determinism gate runs
-// polarstat -lowered -pgo twice and compares fingerprints across
-// processes.
+// after register allocation, plus the program fingerprint (DESIGN.md
+// §13); the CI lowering gate runs polarstat -lowered twice and compares
+// fingerprints across processes.
 //
 // -exec hardens the program in-process, runs it once on the bytecode
 // engine, and reports the engine performance counters
@@ -45,25 +42,14 @@ func main() {
 	lowered := flag.Bool("lowered", false, "append the lowered-bytecode section (fused runs, inline-cache sites, operand regs, fingerprint)")
 	exec := flag.Bool("exec", false, "harden and run the program once, reporting vm.inline_cache.{hits,misses} and vm.fused_dispatches")
 	seed := flag.Int64("seed", 1, "randomization seed for -exec")
-	pgoPath := flag.String("pgo", "", "compile under a recorded hot-site profile (JSON from polarun -pgo-record)")
-	pgoTopK := flag.Int("pgo-topk", 0, "fuse only the K hottest candidate runs (0 = all, <0 = classic pairs only)")
 	flag.Parse()
-	var prof *polar.PGOProfile
-	if *pgoPath != "" {
-		var err error
-		if prof, err = polar.ReadPGOFile(*pgoPath); err != nil {
-			fmt.Fprintln(os.Stderr, "polarstat:", err)
-			os.Exit(1)
-		}
-	}
-	pgo := polar.WithPGO(prof, *pgoTopK)
-	if err := run(*wl, *jsonOut, *lowered, *exec, *seed, pgo); err != nil {
+	if err := run(*wl, *jsonOut, *lowered, *exec, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "polarstat:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl string, jsonOut, lowered, exec bool, seed int64, pgo polar.Option) error {
+func run(wl string, jsonOut, lowered, exec bool, seed int64) error {
 	var m *polar.Module
 	var w *workload.Workload
 	switch {
@@ -96,22 +82,22 @@ func run(wl string, jsonOut, lowered, exec bool, seed int64, pgo polar.Option) e
 		fmt.Print(stats.Render())
 	}
 	if lowered {
-		if err := printLowered(m, pgo); err != nil {
+		if err := printLowered(m); err != nil {
 			return err
 		}
 	}
 	if exec {
-		if err := runOnce(m, w, seed, pgo); err != nil {
+		if err := runOnce(m, w, seed); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// printLowered compiles the module under the -pgo options and renders
-// the per-function lowering summary.
-func printLowered(m *polar.Module, pgo polar.Option) error {
-	prep, err := polar.Prepare(m, pgo)
+// printLowered compiles the module and renders the per-function
+// lowering summary.
+func printLowered(m *polar.Module) error {
+	prep, err := polar.Prepare(m)
 	if err != nil {
 		return err
 	}
@@ -128,12 +114,12 @@ func printLowered(m *polar.Module, pgo polar.Option) error {
 
 // runOnce hardens the module, executes it once and prints the engine
 // performance counters under their registry names.
-func runOnce(m *polar.Module, w *workload.Workload, seed int64, pgo polar.Option) error {
+func runOnce(m *polar.Module, w *workload.Workload, seed int64) error {
 	h, err := polar.Harden(m, nil)
 	if err != nil {
 		return err
 	}
-	opts := []polar.Option{polar.WithSeed(seed), pgo}
+	opts := []polar.Option{polar.WithSeed(seed)}
 	if w != nil {
 		opts = append(opts, polar.WithInput(w.Input), polar.WithArgs(w.Args...))
 	}

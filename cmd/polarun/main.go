@@ -4,7 +4,7 @@
 //
 //	polarun [-hardened|-harden] [-engine bytecode|legacy] [-input file]
 //	        [-seed n] [-stats] [-runs n] [-parallel n] [-metrics]
-//	        [-trace-json file] [-profile file] [-pgo file] [-http addr]
+//	        [-trace-json file] [-profile file] [-facts file] [-http addr]
 //	        program.ir [args...]
 //
 // -engine selects the execution engine: the default bytecode engine
@@ -49,15 +49,6 @@
 //	              top-N report goes to stderr and the pprof-compatible
 //	              protobuf to the named file (`go tool pprof file`)
 //	-profile-top  rows in the text report (default 15)
-//	-pgo          compile under a hot-site profile recorded by a prior
-//	              -pgo-record run: the fuser ranks superinstruction
-//	              candidates by real dynamic weight instead of the
-//	              static loop-depth estimate (DESIGN.md §13)
-//	-pgo-topk     fuse only the K hottest candidate runs (0 = all;
-//	              negative disables generalized fusion)
-//	-pgo-record   write the run's hot-site weights as a JSON profile to
-//	              this file for later -pgo compilation (implies the
-//	              profiler)
 //	-facts        compile under a static site classification written by
 //	              polarlint -facts: proven-polymorphic olr_getptr sites
 //	              get no inline-cache slot, monomorphic sites proven to
@@ -147,9 +138,6 @@ type runConfig struct {
 	exectraceLimit   uint64
 	layoutMode       string
 	rekeyEpoch       int
-	pgoPath          string
-	pgoTopK          int
-	pgoRecord        string
 	factsPath        string
 }
 
@@ -168,7 +156,6 @@ func outputConflict(c runConfig) error {
 		{"-cpuprofile", c.cpuProfile},
 		{"-memprofile", c.memProfile},
 		{"-log", c.logPath},
-		{"-pgo-record", c.pgoRecord},
 	} {
 		if t.path == "" || t.path == "-" {
 			continue
@@ -222,9 +209,6 @@ func main() {
 	flag.Uint64Var(&c.exectraceLimit, "exectrace-limit", 0, "stop recording execution-trace events after N records (0 = unbounded; overflow is counted)")
 	flag.StringVar(&c.layoutMode, "layout-mode", "metadata", "layout-resolution strategy: metadata (per-object table) or stateless (keyed derivation, no UAF detection)")
 	flag.IntVar(&c.rekeyEpoch, "rekey-epoch", 0, "stateless mode: re-randomize every live object's layout after every N frees (0 = never)")
-	flag.StringVar(&c.pgoPath, "pgo", "", "compile under this hot-site profile (JSON written by -pgo-record)")
-	flag.IntVar(&c.pgoTopK, "pgo-topk", 0, "fuse only the K hottest candidate runs (0 = all, negative = classic pairs only)")
-	flag.StringVar(&c.pgoRecord, "pgo-record", "", "write the run's hot-site weights as a -pgo profile to this file")
 	flag.StringVar(&c.factsPath, "facts", "", "compile under this static site classification (JSON written by polarlint -facts)")
 	flag.Parse()
 	if err := outputConflict(c); err != nil {
@@ -236,13 +220,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
 		os.Exit(2)
 	}
-	var prof *polar.PGOProfile
-	if c.pgoPath != "" {
-		if prof, err = polar.ReadPGOFile(c.pgoPath); err != nil {
-			fmt.Fprintln(os.Stderr, "polarun:", err)
-			os.Exit(2)
-		}
-	}
 	var facts *polar.CompileFacts
 	if c.factsPath != "" {
 		if facts, err = polar.ReadFactsFile(c.factsPath); err != nil {
@@ -250,7 +227,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	progOpts := []polar.Option{polar.WithEngine(eng), polar.WithPGO(prof, c.pgoTopK), polar.WithFacts(facts)}
+	progOpts := []polar.Option{polar.WithEngine(eng), polar.WithFacts(facts)}
 	if _, err := polar.ParseLayoutMode(c.layoutMode); err != nil {
 		fmt.Fprintln(os.Stderr, "polarun:", err)
 		os.Exit(2)
@@ -352,7 +329,7 @@ func run(c runConfig, progOpts []polar.Option) error {
 		}()
 	}
 	var prof *polar.SiteProfiler
-	if c.profilePath != "" || c.httpAddr != "" || c.pgoRecord != "" {
+	if c.profilePath != "" || c.httpAddr != "" {
 		prof = polar.NewSiteProfiler()
 	}
 	var ih *introspect.Handler
@@ -566,11 +543,6 @@ func run(c runConfig, progOpts []polar.Option) error {
 			return err
 		}
 		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if c.pgoRecord != "" {
-		if err := polar.WritePGOFile(c.pgoRecord, prof); err != nil {
 			return err
 		}
 	}

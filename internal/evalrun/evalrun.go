@@ -47,9 +47,6 @@ type Harness struct {
 	// experiment pins one itself (the traces differential runs both;
 	// the ablation's legacy-engine arm runs the tree-walker).
 	Engine vm.Engine
-	// Compile holds the options every experiment program is compiled
-	// under (the seeding experiment adds its facts on top).
-	Compile vm.CompileOpts
 	// RekeyEvery is the stateless-mode epoch-rekey period of the traces
 	// experiment (advance the derivation epoch every n instrumented
 	// frees; <= 0 disables). With a schedule set, the cross-engine gate
@@ -103,7 +100,7 @@ func (h Harness) runOnce(p *vm.Program, input []byte, args []int64, rt func(*vm.
 // on the caller's goroutine — a parallel experiment pins each
 // workload's timings to one worker.
 func (h Harness) measureWorkload(w *workload.Workload, reps int, seed int64, cfg core.Config, vmOpts ...vm.Option) (base, polar time.Duration, rt *core.Runtime, perf vm.Perf, err error) {
-	baseProg, err := vm.CompileWith(ir.Clone(w.Module), h.Compile)
+	baseProg, err := vm.Compile(ir.Clone(w.Module))
 	if err != nil {
 		return 0, 0, nil, perf, fmt.Errorf("%s: %w", w.Name, err)
 	}
@@ -111,7 +108,7 @@ func (h Harness) measureWorkload(w *workload.Workload, reps int, seed int64, cfg
 	if err != nil {
 		return 0, 0, nil, perf, fmt.Errorf("%s: instrument: %w", w.Name, err)
 	}
-	insProg, err := vm.CompileWith(ins.Module, h.Compile)
+	insProg, err := vm.Compile(ins.Module)
 	if err != nil {
 		return 0, 0, nil, perf, fmt.Errorf("%s: instrumented: %w", w.Name, err)
 	}

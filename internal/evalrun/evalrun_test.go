@@ -177,11 +177,10 @@ func TestSecurityReportStructure(t *testing.T) {
 }
 
 // TestAblationStructure checks the grid's shape and each arm's defining
-// numbers under three harness configurations, which also proves the
-// harness engine and compile options reach every measured VM: on the
-// legacy engine nothing fuses, and disabling generalized fusion changes
-// the default arm's fused-dispatch count. The harnesses share no state,
-// so the three grids run concurrently.
+// numbers under two harness configurations, which also proves the
+// harness engine reaches every measured VM: on the legacy engine
+// nothing fuses, while the default arm fuses on the bytecode engine.
+// The harnesses share no state, so the two grids run concurrently.
 func TestAblationStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
@@ -192,7 +191,6 @@ func TestAblationStructure(t *testing.T) {
 	}{
 		{"zero", Harness{}},
 		{"legacy", Harness{Engine: vm.EngineLegacy}},
-		{"fusion-off", Harness{Compile: vm.CompileOpts{FusionTopK: -1}}},
 	}
 	// fusedDefault[i] maps app -> the default arm's FusedDispatches
 	// under harnesses[i].
@@ -237,16 +235,13 @@ func TestAblationStructure(t *testing.T) {
 			})
 		}
 	})
-	zero, off := fusedDefault[0], fusedDefault[2]
-	if len(zero) == 0 || len(off) == 0 {
+	zero := fusedDefault[0]
+	if len(zero) == 0 {
 		t.Fatal("missing default rows")
 	}
 	for app, n := range zero {
 		if n == 0 {
-			t.Errorf("default/%s: FusedDispatches = 0 under the static pipeline", app)
-		}
-		if off[app] == n {
-			t.Errorf("default/%s: FusedDispatches = %d with and without generalized fusion; the harness compile options did not reach the compile", app, n)
+			t.Errorf("default/%s: FusedDispatches = 0 on the bytecode engine", app)
 		}
 	}
 }

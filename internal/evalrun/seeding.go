@@ -91,13 +91,11 @@ func (h Harness) Seeding(seed int64) ([]SeedingRow, error) {
 		if err != nil {
 			return fmt.Errorf("%s: instrument: %w", w.Name, err)
 		}
-		unseeded, err := vm.CompileWith(ins.Module, h.Compile)
+		unseeded, err := vm.Compile(ins.Module)
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", w.Name, err)
 		}
-		opts := h.Compile
-		opts.Facts = res.Sites.CompileFacts()
-		seeded, err := vm.CompileWith(ins.Module, opts)
+		seeded, err := vm.CompileWith(ins.Module, vm.CompileOpts{Facts: res.Sites.CompileFacts()})
 		if err != nil {
 			return fmt.Errorf("%s: seeded compile: %w", w.Name, err)
 		}
@@ -228,9 +226,7 @@ func (h Harness) seededHitPct(app string, cfg core.Config, seed int64, vmOpts ..
 	if err != nil {
 		return 0, fmt.Errorf("%s: instrument: %w", app, err)
 	}
-	opts := h.Compile
-	opts.Facts = res.Sites.CompileFacts()
-	p, err := vm.CompileWith(ins.Module, opts)
+	p, err := vm.CompileWith(ins.Module, vm.CompileOpts{Facts: res.Sites.CompileFacts()})
 	if err != nil {
 		return 0, fmt.Errorf("%s: seeded compile: %w", app, err)
 	}

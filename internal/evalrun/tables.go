@@ -125,7 +125,7 @@ func (h Harness) TableIII(seed int64) ([]CounterRow, error) {
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
-		p, err := vm.CompileWith(ins.Module, h.Compile)
+		p, err := vm.Compile(ins.Module)
 		if err != nil {
 			return err
 		}

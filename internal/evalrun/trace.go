@@ -99,7 +99,7 @@ func (h Harness) Traces(dir string, seed int64, modes ...core.LayoutMode) ([]Tra
 		if err != nil {
 			return fmt.Errorf("%s: instrument: %w", w.Name, err)
 		}
-		p, err := vm.CompileWith(ins.Module, h.Compile)
+		p, err := vm.Compile(ins.Module)
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", w.Name, err)
 		}

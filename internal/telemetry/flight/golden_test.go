@@ -29,6 +29,17 @@ const goldenSeed = 42
 // forensic artifact.
 func replay(t *testing.T, cs exploit.CaseStudy) (*flight.Recorder, *health.Monitor, *polar.Result) {
 	t.Helper()
+	tel := polar.NewTelemetry()
+	hm := health.NewMonitor(nil)
+	hm.AttachOnce(tel.Bus)
+	rec, res := replayWith(t, cs, polar.WithTelemetry(tel))
+	return rec, hm, res
+}
+
+// replayWith runs one case study with a flight recorder and the extra
+// options, then takes the end-of-run capture.
+func replayWith(t *testing.T, cs exploit.CaseStudy, extra ...polar.Option) (*flight.Recorder, *polar.Result) {
+	t.Helper()
 	m := cs.Build()
 	src, err := os.ReadFile(filepath.Join("..", "..", "..", "examples", "casestudies", m.Name+".ir"))
 	if err != nil {
@@ -42,26 +53,29 @@ func replay(t *testing.T, cs exploit.CaseStudy) (*flight.Recorder, *health.Monit
 	if err != nil {
 		t.Fatalf("%s: harden: %v", cs.Name, err)
 	}
-	tel := polar.NewTelemetry()
 	rec := polar.NewFlightRecorder(0)
-	hm := health.NewMonitor(nil)
-	hm.AttachOnce(tel.Bus)
-	res, err := polar.RunHardened(h,
+	opts := append([]polar.Option{
 		polar.WithSeed(goldenSeed),
 		polar.WithWarnPolicy(),
-		polar.WithTelemetry(tel),
 		polar.WithFlightRecorder(rec),
 		polar.WithArgs(cs.AttackArgs...),
-	)
+	}, extra...)
+	res, err := polar.RunHardened(h, opts...)
 	if err != nil {
 		t.Fatalf("%s: run: %v", cs.Name, err)
 	}
 	rec.CaptureFinal()
-	return rec, hm, res
+	return rec, res
+}
+
+func goldenPath(cs exploit.CaseStudy) string {
+	return filepath.Join("testdata", cs.Name+".golden.json")
 }
 
 // TestGoldenDumps replays every committed case study and diffs the
 // flight recorder's full forensic report against a committed golden.
+// A recorder passed without WithTelemetry must see the same event
+// stream, so its replay is held to the same golden.
 // Regenerate with: go test ./internal/telemetry/flight -run Golden -update
 func TestGoldenDumps(t *testing.T) {
 	for _, cs := range exploit.CaseStudies() {
@@ -88,6 +102,14 @@ func TestGoldenDumps(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("forensic dump drifted from %s; regenerate with -update\ngot:\n%s", path, got)
+			}
+			solo, _ := replayWith(t, cs)
+			got, err = solo.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("recorder without WithTelemetry differs from %s\ngot:\n%s", path, got)
 			}
 		})
 	}

@@ -395,11 +395,32 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// TestLoweringFusesPairs sanity-checks the lowered form itself: under
-// the default fuse-all plan the rich module must contain generalized
-// bcFused runs, and with generic fusion disabled (FusionTopK < 0) the
-// classic peephole pairs must reappear — otherwise the differential
-// tests exercise nothing on one of the two fusion paths.
+// pairsModule holds each of the three classic dependent pairs as an
+// exact two-instruction fusable run, fenced by un-fusable alloc, call
+// and ret instructions.
+func pairsModule(t *testing.T) *ir.Module {
+	t.Helper()
+	m := ir.NewModule("pairs")
+	st := m.MustStruct(ir.NewStruct("P", ir.Field{Name: "a", Type: ir.I64}))
+	b := ir.NewFunc(m, "main", ir.I64, ir.Param{Name: "x", Type: ir.I64})
+	obj := b.Alloc(st)
+	b.Store(ir.I64, b.ParamReg(0), b.FieldPtr(st, obj, 0))
+	b.CallVoid("print_i64", ir.Const(1))
+	v := b.Load(ir.I64, b.FieldPtr(st, obj, 0))
+	b.CallVoid("print_i64", v)
+	b.If("pos", b.Cmp(ir.CmpGt, v, ir.Const(0)), func() { b.Ret(v) }, nil)
+	b.Ret(ir.Const(0))
+	if err := ir.Validate(m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestLoweringFusesPairs sanity-checks the lowered form itself: the
+// rich module must contain generalized bcFused runs, and a run that is
+// exactly one of the three classic dependent pairs must lower to its
+// pair superinstruction — otherwise the differential tests exercise
+// nothing on one of the two fusion paths.
 func TestLoweringFusesPairs(t *testing.T) {
 	countOps := func(p *Program) map[bcOp]int {
 		found := map[bcOp]int{}
@@ -452,20 +473,29 @@ func TestLoweringFusesPairs(t *testing.T) {
 	}
 	checkWeights(p)
 
-	pc, err := CompileWith(richModule(t), CompileOpts{FusionTopK: -1})
+	pm := pairsModule(t)
+	pc, err := Compile(ir.Clone(pm))
 	if err != nil {
 		t.Fatal(err)
 	}
 	classic := countOps(pc)
 	if classic[bcFused] != 0 {
-		t.Errorf("FusionTopK=-1 still produced %d bcFused runs", classic[bcFused])
+		t.Errorf("exact classic pairs lowered to %d bcFused runs", classic[bcFused])
 	}
 	for _, op := range []bcOp{bcFieldLoad, bcFieldStore, bcCmpBr} {
-		if classic[op] == 0 {
-			t.Errorf("classic lowering contains no %d superinstruction (counts: %v)", op, classic)
+		if classic[op] != 1 {
+			t.Errorf("lowering contains %d of superinstruction %d, want 1 (counts: %v)", classic[op], op, classic)
 		}
 	}
 	checkWeights(pc)
+	for _, x := range []int64{-3, 5} {
+		vb, rb, eb := runEngine(t, pm, EngineBytecode, nil, x)
+		vl, rl, el := runEngine(t, pm, EngineLegacy, nil, x)
+		if eb != nil || el != nil || rb != rl || vb.Stats != vl.Stats || string(vb.Output()) != string(vl.Output()) {
+			t.Errorf("x=%d: engines diverge on the pair superinstructions: %d/%d %v/%v\n%+v\n%+v",
+				x, rb, rl, eb, el, vb.Stats, vl.Stats)
+		}
+	}
 }
 
 // TestFuelSweepSuccessStatsStable: once fuel suffices, Stats must be

@@ -15,27 +15,22 @@ import (
 //     function-handle table and every callee bound to a small-int index
 //     (module functions directly, builtins through the per-instance
 //     slot table RegisterBuiltin populates).
-//  2. Fusion. The profile-guided plan built in pgo.go selects
-//     straight-line runs of fusable instructions per block; each
-//     selected run collapses into one dispatch — a classic pair
-//     superinstruction when the run is exactly one of the three
+//  2. Fusion. Every maximal straight-line run of two or more fusable
+//     instructions in a block collapses into one dispatch: a classic
+//     pair superinstruction when the run is exactly one of the three
 //     dependent-pair patterns, a generalized bcFused micro-op sequence
-//     otherwise. Outside selected runs the original peephole still
-//     fuses the three classic pairs, so a topK-limited plan degrades to
-//     the historical behavior rather than to no fusion at all.
+//     otherwise. DESIGN.md §13 records why every run is fused.
 //  3. Register allocation (regalloc.go): a linear-scan pass renumbers
 //     the virtual registers into a small dense operand file, shrinking
 //     the per-call frame the interpreter must zero and keeping hot
 //     registers on the same cache lines.
 
-// lowerModule lowers every function of the compiled module under the
-// fusion plan derived from opts.
+// lowerModule lowers every function of the compiled module.
 func (p *Program) lowerModule(opts CompileOpts) error {
-	plan := buildFusionPlan(p.mod, opts)
 	p.planICSites(opts.Facts)
 	p.bcFuncs = make([]*bcFunc, len(p.mod.Funcs))
 	for i, f := range p.mod.Funcs {
-		bf, err := p.lowerFunc(f, plan.runsFor(i))
+		bf, err := p.lowerFunc(f)
 		if err != nil {
 			return fmt.Errorf("vm: lowering @%s: %w", f.Name, err)
 		}
@@ -44,6 +39,23 @@ func (p *Program) lowerModule(opts CompileOpts) error {
 		p.bcFuncs[i] = bf
 	}
 	return nil
+}
+
+// fusableIR reports whether a source instruction may join a fused run:
+// straight-line register/memory/arithmetic work plus the block
+// terminators. Ops with side channels beyond registers, memory and
+// Stats.FieldAccess (alloc, local, free, memcpy, memset, calls, rets)
+// stay un-fused so the micro loop needs no telemetry or accounting
+// hooks. Cross-block runs are never formed: fuel-exhaustion errors name
+// the block, so a run must not outlive its block's accounting.
+func fusableIR(op ir.Op) bool {
+	switch op {
+	case ir.OpLoad, ir.OpStore, ir.OpFieldPtr, ir.OpElemPtr, ir.OpPtrAdd,
+		ir.OpBin, ir.OpFBin, ir.OpCmp, ir.OpFCmp, ir.OpItoF, ir.OpFtoI,
+		ir.OpMov, ir.OpBr, ir.OpCondBr:
+		return true
+	}
+	return false
 }
 
 // builtinSlotFor returns the callee-table slot for a non-module callee
@@ -402,54 +414,43 @@ func (p *Program) classicPair(in, next *ir.Instr) (bcInstr, bool) {
 	return bcInstr{}, false
 }
 
-// lowerFunc flattens one function under the per-block fusion runs
-// selected for it (nil = classic peephole only).
-func (p *Program) lowerFunc(f *ir.Func, runs [][][2]int) (*bcFunc, error) {
+// fuseRun lowers one maximal fusable run (two or more instructions)
+// into a single dispatch: a classic pair superinstruction when the run
+// is exactly one of the three dependent-pair patterns, the generalized
+// micro-op sequence otherwise.
+func (p *Program) fuseRun(run []ir.Instr) bcInstr {
+	if len(run) == 2 {
+		if out, ok := p.classicPair(&run[0], &run[1]); ok {
+			return out
+		}
+	}
+	out := bcInstr{op: bcFused, dest: -1, ic: -1, irIn: &run[0]}
+	out.micro = make([]mcInstr, len(run))
+	for k := range run {
+		out.micro[k] = p.microFor(&run[k])
+	}
+	return out
+}
+
+// lowerFunc flattens one function, fusing every maximal fusable run.
+func (p *Program) lowerFunc(f *ir.Func) (*bcFunc, error) {
 	bf := &bcFunc{fn: f, numRegs: f.NumRegs, blocks: make([]bcBlock, len(f.Blocks))}
 	for bi, blk := range f.Blocks {
 		start := int32(len(bf.code))
 		cost := uint32(0)
-		var sel [][2]int
-		if bi < len(runs) {
-			sel = runs[bi]
-		}
-		ri := 0
 		emit := func(out bcInstr) {
 			bf.code = append(bf.code, out)
 			cost += out.weight()
 		}
 		for ii := 0; ii < len(blk.Instrs); {
-			// A selected fusion run starting here collapses into one
-			// dispatch: a classic pair superinstruction when it is
-			// exactly one of the three dependent-pair patterns, the
-			// generalized micro-op sequence otherwise.
-			if ri < len(sel) && sel[ri][0] == ii {
-				lo, hi := sel[ri][0], sel[ri][1]
-				ri++
-				if hi-lo == 2 {
-					if out, ok := p.classicPair(&blk.Instrs[lo], &blk.Instrs[lo+1]); ok {
-						emit(out)
-						ii = hi
-						continue
-					}
-				}
-				out := bcInstr{op: bcFused, dest: -1, ic: -1, irIn: &blk.Instrs[lo]}
-				out.micro = make([]mcInstr, 0, hi-lo)
-				for k := lo; k < hi; k++ {
-					out.micro = append(out.micro, p.microFor(&blk.Instrs[k]))
-				}
-				emit(out)
+			hi := ii
+			for hi < len(blk.Instrs) && fusableIR(blk.Instrs[hi].Op) {
+				hi++
+			}
+			if hi-ii >= 2 {
+				emit(p.fuseRun(blk.Instrs[ii:hi]))
 				ii = hi
 				continue
-			}
-			// Outside selected runs: the original peephole over the
-			// three classic pairs, never crossing into a selected run.
-			if ii+1 < len(blk.Instrs) && !(ri < len(sel) && sel[ri][0] == ii+1) {
-				if out, ok := p.classicPair(&blk.Instrs[ii], &blk.Instrs[ii+1]); ok {
-					emit(out)
-					ii += 2
-					continue
-				}
 			}
 			emit(p.lowerOne(&blk.Instrs[ii]))
 			ii++

@@ -63,6 +63,16 @@ type globalInit struct {
 	data []byte
 }
 
+// CompileOpts carries the optional compile inputs. The zero value is
+// the default compile.
+type CompileOpts struct {
+	// Facts carries the static site classification for inline-cache
+	// seeding (facts.go): churned sites lose their IC slot, proven
+	// single-object monomorphic sites share one. Nil keeps the default
+	// one-fresh-slot-per-site numbering.
+	Facts *StaticFacts
+}
+
 // Compile validates m and precomputes everything runs share. The module
 // must not be mutated afterwards; Clone it first if the caller keeps
 // rewriting it.
@@ -70,10 +80,9 @@ func Compile(m *ir.Module) (*Program, error) {
 	return CompileWith(m, CompileOpts{})
 }
 
-// CompileWith compiles under explicit optimization inputs (Compile uses
-// the zero CompileOpts, the static pipeline). The same module,
-// profile and topK always produce byte-identical lowered code — see
-// Fingerprint.
+// CompileWith compiles under explicit compile inputs (Compile uses the
+// zero CompileOpts). The same module and facts always produce
+// byte-identical lowered code — see Fingerprint.
 func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 	if err := ir.Validate(m); err != nil {
 		return nil, err
@@ -116,9 +125,9 @@ func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 // Fingerprint hashes the complete lowered instruction stream (opcodes,
 // operand kinds and values, micro-op sequences, weights, cache slots,
 // block layout) into a stable 64-bit FNV-1a digest. Two Programs with
-// equal fingerprints execute identical bytecode; the PGO-determinism
-// gate asserts that compiling the same module under the same profile
-// and seed twice agrees here.
+// equal fingerprints execute identical bytecode; the lowering
+// determinism gate asserts that compiling the same module twice, in one
+// process or in two, agrees here.
 func (p *Program) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -109,27 +109,6 @@ const (
 // ParseEngine parses an -engine flag value ("bytecode" or "legacy").
 func ParseEngine(s string) (Engine, error) { return vm.ParseEngine(s) }
 
-// PGOProfile is a hot-site profile exported from a prior run, used at
-// compile time to rank fusion candidates by real dynamic weight (the
-// CLIs' -pgo flag reads one from disk).
-type PGOProfile = profile.PGO
-
-// ReadPGOFile loads a JSON profile written by WritePGOFile.
-func ReadPGOFile(path string) (*PGOProfile, error) { return profile.ReadPGOFile(path) }
-
-// WritePGOFile exports a profiler's accumulated hot-site weights as a
-// deterministic JSON profile suitable for -pgo.
-func WritePGOFile(path string, p *SiteProfiler) error {
-	return profile.WritePGOFile(path, p.ExportPGO())
-}
-
-// WithPGO compiles under a fusion profile and a top-K bound (the CLIs'
-// -pgo/-pgo-topk flags): Prepare and PrepareHardened read it, Prepared.Run
-// ignores it. A nil profile with topK 0 is the static default.
-func WithPGO(p *PGOProfile, topK int) Option {
-	return func(o *options) { o.compile.Profile, o.compile.FusionTopK = p, topK }
-}
-
 // CompileFacts is the static olr_getptr site classification consumed at
 // compile time for inline-cache seeding (DESIGN.md §14): sites proven
 // polymorphic lose their IC slot, monomorphic sites proven to address
@@ -335,9 +314,9 @@ type options struct {
 	compile       vm.CompileOpts
 }
 
-// Option configures Prepare, Run and their hardened forms. Compile
-// options (WithPGO, WithFacts) take effect when a program is prepared;
-// the rest apply to each run.
+// Option configures Prepare, Run and their hardened forms. The compile
+// option (WithFacts) takes effect when a program is prepared; the rest
+// apply to each run.
 type Option func(*options)
 
 // WithSeed sets the randomization seed (each real execution would use
@@ -424,7 +403,7 @@ func WithTelemetry(t *Telemetry) Option { return func(o *options) { o.tel = t } 
 // recent runtime events that the POLaR runtime snapshots into a
 // deterministic forensic dump on every detected violation (and on
 // demand via CaptureFinal). Create one with NewFlightRecorder and pass
-// it via WithFlightRecorder alongside WithTelemetry.
+// it via WithFlightRecorder.
 type FlightRecorder = flight.Recorder
 
 // ForensicDump is one captured flight-recorder snapshot.
@@ -434,9 +413,10 @@ type ForensicDump = flight.Dump
 // ringCap events (<= 0 selects the default of 256).
 func NewFlightRecorder(ringCap int) *FlightRecorder { return flight.NewRecorder(ringCap) }
 
-// WithFlightRecorder attaches a flight recorder to the run. Requires
-// WithTelemetry (the recorder's event window is fed from the telemetry
-// bus); without it the recorder sees no events and captures nothing.
+// WithFlightRecorder attaches a flight recorder to the run. The
+// recorder's event window is fed from the telemetry bus: it shares the
+// WithTelemetry layer when one is given, and a run without one gets a
+// private layer, so the dumps are complete either way.
 func WithFlightRecorder(r *FlightRecorder) Option { return func(o *options) { o.flight = r } }
 
 // ExecTraceWriter streams the deterministic execution trace (schema
@@ -544,7 +524,7 @@ type Prepared struct {
 }
 
 // Prepare compiles a baseline (unhardened) module for repeated runs,
-// under the compile options among opts (WithPGO, WithFacts).
+// under the compile option among opts (WithFacts).
 func Prepare(m *Module, opts ...Option) (*Prepared, error) {
 	prog, err := vm.CompileWith(ir.Clone(m), compileOpts(opts))
 	if err != nil {
@@ -593,8 +573,8 @@ type LoweredFuncStats = vm.LoweredFuncStats
 func (p *Prepared) LoweredStats() []LoweredFuncStats { return p.prog.LoweredStats() }
 
 // Fingerprint digests the complete lowered instruction stream. Equal
-// fingerprints mean identical bytecode; the PGO-determinism gate
-// asserts that recompiling under the same profile agrees here.
+// fingerprints mean identical bytecode; the lowering determinism gate
+// asserts that recompiling the same module agrees here.
 func (p *Prepared) Fingerprint() uint64 { return p.prog.Fingerprint() }
 
 // Run executes the prepared program once on a fresh instance.
@@ -726,7 +706,7 @@ func runtimeConfig(o *options, table *classinfo.Table, perClass map[uint64]layou
 	return cfg
 }
 
-// compileOpts extracts the compile-time options (WithPGO, WithFacts).
+// compileOpts extracts the compile-time option (WithFacts).
 func compileOpts(opts []Option) vm.CompileOpts {
 	var o options
 	for _, f := range opts {
@@ -740,11 +720,12 @@ func gather(opts []Option) *options {
 	for _, f := range opts {
 		f(o)
 	}
-	if o.xtrace != nil && o.tel == nil {
+	if (o.xtrace != nil || o.flight != nil) && o.tel == nil {
 		// The trace's fuel-checkpoint, raw-allocation and violation
-		// records ride the telemetry bus; a traced run without an
-		// explicit observability layer gets a private one so the trace
-		// is complete either way.
+		// records and the flight recorder's event window ride the
+		// telemetry bus; a traced or recorded run without an explicit
+		// observability layer gets a private one so the trace and the
+		// dumps are complete either way.
 		o.tel = telemetry.New()
 	}
 	return o

@@ -27,9 +27,7 @@ func TestConcurrentPrepareOptions(t *testing.T) {
 		opts []Option
 	}{
 		{"static", nil},
-		{"fusion-off", []Option{WithPGO(nil, -1)}},
 		{"facts", []Option{WithFacts(facts)}},
-		{"fusion-off+facts", []Option{WithPGO(nil, -1), WithFacts(facts)}},
 	}
 	type outcome struct {
 		fingerprint uint64
