@@ -666,7 +666,9 @@ func BenchmarkRuntimeMemcpy(b *testing.B) {
 	}
 }
 
-// BenchmarkLayoutGenerate isolates layout generation itself.
+// BenchmarkLayoutGenerate isolates layout generation itself: the
+// package-level Generate (a fresh generator plus a heap copy) and, under
+// reused/, a warmed Generator as the runtime uses it.
 func BenchmarkLayoutGenerate(b *testing.B) {
 	fields := []layout.FieldInfo{
 		{Size: 8, Align: 8, IsFptr: true},
@@ -681,6 +683,17 @@ func BenchmarkLayoutGenerate(b *testing.B) {
 			rng := newTestRand(7)
 			for i := 0; i < b.N; i++ {
 				if _, err := layout.Generate(fields, cfg, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("reused/"+mode.String(), func(b *testing.B) {
+			cfg := layout.DefaultConfig()
+			cfg.Mode = mode
+			rng := newTestRand(7)
+			var g layout.Generator
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Generate(fields, cfg, rng); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -98,8 +98,9 @@ func (in *LayoutInterner) AttachChainHist(h *telemetry.Histogram) {
 }
 
 // Intern returns the canonical layout equal to l for the class,
-// registering it if new. The returned layout must be used in place of l
-// so identical layouts share one metadata record.
+// registering a copy of l if it is new, so l may be a generator's
+// scratch layout. The returned layout must be used in place of l so
+// identical layouts share one metadata record.
 func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) *layout.Layout {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -113,9 +114,10 @@ func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) *layout.Lay
 			return prev
 		}
 	}
-	in.dedup[key] = append(in.dedup[key], l)
+	c := l.Clone()
+	in.dedup[key] = append(in.dedup[key], c)
 	in.unique++
-	return l
+	return c
 }
 
 // MetaStore is the POLaR object-tracking table plus the layout

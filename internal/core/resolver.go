@@ -239,7 +239,9 @@ func (m *metaResolver) Resolve(v *vm.VM, base uint64, field int, classHash uint6
 }
 
 // Alloc generates a fresh per-allocation layout, allocates exactly its
-// footprint, and registers (and seals) the metadata record.
+// footprint, and registers (and seals) the metadata record. The layout
+// is generated into the runtime's scratch and interned directly, so a
+// layout the interner has already seen allocates nothing.
 func (m *metaResolver) Alloc(v *vm.VM, cls *classinfo.Class) (uint64, *layout.Layout, error) {
 	r := m.rt
 	l, err := r.generateLayout(cls)

@@ -153,6 +153,12 @@ type Runtime struct {
 	rng    *rand.Rand
 	secret uint64
 
+	// gen and fields are the layout-generation buffers every olr_* path
+	// reuses: a generated layout is scratch until the interner (or, in
+	// stateless mode, the derivation memo) copies it.
+	gen    layout.Generator
+	fields []layout.FieldInfo
+
 	// resolver is the pluggable layout-resolution strategy: every olr_*
 	// entry point delegates its strategy-specific ladder here.
 	resolver LayoutResolver
@@ -679,20 +685,17 @@ func (r *Runtime) olrMemcpy(v *vm.VM, dst, src uint64, n int, classHash uint64) 
 }
 
 // layoutFitting picks the layout for a duplicate copy, no larger than
-// limit. Under RerandomizeOnCopy it generates a fresh layout, degrading
-// the configuration (fewer dummies, no traps, identity) until it fits;
-// otherwise it clones the source layout (the cheaper mode of §IV.A.2).
-// Returns nil if even the identity layout exceeds limit.
+// limit. Under RerandomizeOnCopy it generates a fresh (scratch) layout,
+// degrading the configuration (fewer dummies, no traps, identity) until
+// it fits; otherwise it reuses the source layout (the cheaper mode of
+// §IV.A.2). Returns nil if even the identity layout exceeds limit.
 func (r *Runtime) layoutFitting(cls *classinfo.Class, srcLayout *layout.Layout, limit int) (*layout.Layout, error) {
 	if !r.cfg.RerandomizeOnCopy {
 		if srcLayout.TotalSize <= limit {
 			return srcLayout, nil
 		}
 	} else {
-		base := r.cfg.Layout
-		if over, ok := r.cfg.PerClass[cls.Hash]; ok {
-			base = over
-		}
+		base := r.layoutConfigFor(cls)
 		noDummies := base
 		noDummies.MinDummies, noDummies.MaxDummies = 0, 0
 		noTraps := noDummies
@@ -717,25 +720,21 @@ func (r *Runtime) layoutFitting(cls *classinfo.Class, srcLayout *layout.Layout, 
 	return nil, nil
 }
 
-// fieldsOf converts a class's members into layout generation inputs,
-// also counting function pointers (the entropy report needs them).
-func fieldsOf(cls *classinfo.Class) ([]layout.FieldInfo, int) {
-	fields := make([]layout.FieldInfo, len(cls.Members))
-	nFptrs := 0
-	for i, m := range cls.Members {
-		fields[i] = layout.FieldInfo{Size: m.Size, Align: m.Align, IsFptr: m.Kind == classinfo.KindFuncPointer}
-		if fields[i].IsFptr {
-			nFptrs++
-		}
+// fieldsOf converts a class's members into layout generation inputs in
+// the runtime's reused buffer; the result is valid until the next call.
+func (r *Runtime) fieldsOf(cls *classinfo.Class) []layout.FieldInfo {
+	r.fields = r.fields[:0]
+	for _, m := range cls.Members {
+		r.fields = append(r.fields, layout.FieldInfo{Size: m.Size, Align: m.Align, IsFptr: m.Kind == classinfo.KindFuncPointer})
 	}
-	return fields, nFptrs
+	return r.fields
 }
 
 // noteLayoutGen attributes one layout generation to its class: the
 // hot-site profiler's per-class counter, the entropy histogram, and the
 // EvLayoutGen event. Both strategies funnel through here (the stateless
 // resolver also re-derives on memo misses, each a generation).
-func (r *Runtime) noteLayoutGen(cls *classinfo.Class, cfg layout.Config, nFptrs int, l *layout.Layout) {
+func (r *Runtime) noteLayoutGen(cls *classinfo.Class, cfg layout.Config, l *layout.Layout) {
 	if r.prof != nil {
 		gc, ok := r.profGens[cls.Hash]
 		if !ok {
@@ -745,6 +744,12 @@ func (r *Runtime) noteLayoutGen(cls *classinfo.Class, cfg layout.Config, nFptrs 
 		gc.Inc()
 	}
 	if r.tel != nil {
+		nFptrs := 0
+		for _, m := range cls.Members {
+			if m.Kind == classinfo.KindFuncPointer {
+				nFptrs++
+			}
+		}
 		r.histEntropy.Observe(layout.EntropyBits(len(cls.Members), nFptrs, cfg))
 		r.tel.Emit(telemetry.Event{
 			Kind: telemetry.EvLayoutGen, Class: cls.Hash, Layout: l.Hash(),
@@ -753,13 +758,14 @@ func (r *Runtime) noteLayoutGen(cls *classinfo.Class, cfg layout.Config, nFptrs 
 	}
 }
 
+// generateLayoutWith draws the next layout of cls from the run stream
+// into the runtime's generator; the result is scratch.
 func (r *Runtime) generateLayoutWith(cls *classinfo.Class, cfg layout.Config) (*layout.Layout, error) {
-	fields, nFptrs := fieldsOf(cls)
-	l, err := layout.Generate(fields, cfg, r.rng)
+	l, err := r.gen.Generate(r.fieldsOf(cls), cfg, r.rng)
 	if err != nil {
 		return nil, err
 	}
-	r.noteLayoutGen(cls, cfg, nFptrs, l)
+	r.noteLayoutGen(cls, cfg, l)
 	return l, nil
 }
 

@@ -67,6 +67,10 @@ type statelessResolver struct {
 
 	// maxSizes caches the per-class slab bound (layout.MaxSize).
 	maxSizes map[uint64]int
+
+	// remapBuf holds one object's outgoing image during a rekey remap,
+	// reused across objects and epochs.
+	remapBuf []byte
 }
 
 func newStatelessResolver(r *Runtime) *statelessResolver {
@@ -99,25 +103,24 @@ func (s *statelessResolver) maxSize(cls *classinfo.Class) int {
 	if v, ok := s.maxSizes[cls.Hash]; ok {
 		return v
 	}
-	fields, _ := fieldsOf(cls)
-	v := layout.MaxSize(fields, s.rt.layoutConfigFor(cls))
+	v := layout.MaxSize(s.rt.fieldsOf(cls), s.rt.layoutConfigFor(cls))
 	s.maxSizes[cls.Hash] = v
 	return v
 }
 
 // deriveRaw recomputes the layout of (cls, base) under the given epoch
-// with no telemetry side effects — the rekey path uses it to recover
-// the outgoing epoch's layout.
+// with no telemetry side effects into the runtime's generator, so the
+// result is scratch: valid until the next derivation or generation.
 func (s *statelessResolver) deriveRaw(cls *classinfo.Class, base, epoch uint64) (*layout.Layout, error) {
-	cfg := s.rt.layoutConfigFor(cls)
-	fields, _ := fieldsOf(cls)
-	return layout.GenerateKeyed(fields, cfg, s.k0, s.k1^(epoch*epochMix), base^cls.Hash)
+	r := s.rt
+	return r.gen.GenerateKeyed(r.fieldsOf(cls), r.layoutConfigFor(cls), s.k0, s.k1^(epoch*epochMix), base^cls.Hash)
 }
 
 // layoutFor returns the current-epoch layout of (cls, base), memoized.
-// A memo miss re-derives and re-emits the layout-generation telemetry —
-// deterministically, since eviction order is a pure function of the
-// access sequence.
+// A memo miss re-derives, clones the derivation out of the scratch (the
+// caller may hold it across another derivation) and re-emits the
+// layout-generation telemetry — deterministically, since eviction order
+// is a pure function of the access sequence.
 func (s *statelessResolver) layoutFor(cls *classinfo.Class, base uint64) (*layout.Layout, error) {
 	var e *derivedEntry
 	if s.memo != nil {
@@ -130,9 +133,9 @@ func (s *statelessResolver) layoutFor(cls *classinfo.Class, base uint64) (*layou
 	if err != nil {
 		return nil, err
 	}
+	l = l.Clone()
 	r := s.rt
-	_, nFptrs := fieldsOf(cls)
-	r.noteLayoutGen(cls, r.layoutConfigFor(cls), nFptrs, l)
+	r.noteLayoutGen(cls, r.layoutConfigFor(cls), l)
 	if e != nil {
 		*e = derivedEntry{base: base, class: cls.Hash, epoch: s.epoch, l: l}
 	}
@@ -392,27 +395,31 @@ func (s *statelessResolver) Rerandomize(v *vm.VM) (bool, error) {
 		if !ok || cls.Struct != st {
 			continue // raw allocation: not ours to move
 		}
+		// The outgoing layout is cloned out of the scratch before the
+		// incoming derivation overwrites it.
 		ol, err := s.deriveRaw(cls, base, oldEpoch)
 		if err != nil {
 			return false, err
 		}
+		ol = ol.Clone()
 		nl, err := s.layoutFor(cls, base)
 		if err != nil {
 			return false, err
 		}
 		if ol.Hash() != nl.Hash() {
-			// Snapshot every member under the outgoing layout first —
-			// old and new positions overlap arbitrarily.
-			imgs := make([][]byte, len(cls.Members))
-			for i, m := range cls.Members {
-				b, err := v.Mem.ReadBytes(base+uint64(ol.Offsets[i]), m.Size)
-				if err != nil {
-					return false, err
-				}
-				imgs[i] = b
+			// Snapshot the object image under the outgoing layout first —
+			// old and new positions overlap arbitrarily — into one
+			// buffer reused across objects.
+			if cap(s.remapBuf) < ol.TotalSize {
+				s.remapBuf = make([]byte, ol.TotalSize)
 			}
-			for i := range cls.Members {
-				if err := v.Mem.WriteBytes(base+uint64(nl.Offsets[i]), imgs[i]); err != nil {
+			img := s.remapBuf[:ol.TotalSize]
+			if err := v.Mem.Read(base, img); err != nil {
+				return false, err
+			}
+			for i, m := range cls.Members {
+				o := ol.Offsets[i]
+				if err := v.Mem.WriteBytes(base+uint64(nl.Offsets[i]), img[o:o+m.Size]); err != nil {
 					return false, err
 				}
 			}

@@ -107,14 +107,30 @@ func (s *keyedSource) Seed(int64) {}
 // stream. Callers derive msg from the object's base address (and k0/k1
 // from the run seed and re-randomization epoch), which is what makes
 // the resolution stateless: any party holding the key recomputes the
-// same layout from the address alone.
-func GenerateKeyed(fields []FieldInfo, cfg Config, k0, k1, msg uint64) (*Layout, error) {
+// same layout from the address alone. The result is scratch, like
+// Generate's.
+func (g *Generator) GenerateKeyed(fields []FieldInfo, cfg Config, k0, k1, msg uint64) (*Layout, error) {
 	if cfg.Mode == ModeIdentity {
 		// Identity (pinned) classes are key-independent by definition.
-		return identityLayout(fields), nil
+		return g.Generate(fields, cfg, nil)
 	}
-	rng := rand.New(&keyedSource{k0: k0, k1: k1, msg: msg})
-	return Generate(fields, cfg, rng)
+	if g.keyedRng == nil {
+		g.keyed = new(keyedSource)
+		g.keyedRng = rand.New(g.keyed)
+	}
+	*g.keyed = keyedSource{k0: k0, k1: k1, msg: msg}
+	return g.Generate(fields, cfg, g.keyedRng)
+}
+
+// GenerateKeyed is Generator.GenerateKeyed into a fresh Generator,
+// returning a heap copy of the layout.
+func GenerateKeyed(fields []FieldInfo, cfg Config, k0, k1, msg uint64) (*Layout, error) {
+	var g Generator
+	l, err := g.GenerateKeyed(fields, cfg, k0, k1, msg)
+	if err != nil {
+		return nil, err
+	}
+	return l.Clone(), nil
 }
 
 // MaxSize returns an upper bound on TotalSize over every layout any

@@ -151,96 +151,148 @@ func (l *Layout) FieldOffset(i int) (int, error) {
 	return l.Offsets[i], nil
 }
 
+// Clone returns a heap copy of l that shares no memory with it. A
+// layout a Generator returns is scratch until Clone (or the runtime's
+// LayoutInterner, which clones what it keeps) copies it.
+func (l *Layout) Clone() *Layout {
+	c := *l
+	c.Slots = append([]Slot(nil), l.Slots...)
+	c.Offsets = append([]int(nil), l.Offsets...)
+	return &c
+}
+
 // part is one member or dummy inside a placement unit.
 type part struct {
 	slot  Slot // Field/Size/Trap set; Offset assigned at placement
 	align int
 }
 
-// item is a placement unit: a run of members that must stay adjacent
-// (a booby trap fused to its function pointer) or a single member/dummy.
-type item struct {
-	parts []part
-	align int
+// unit is a placement unit: a run of parts that must stay adjacent (a
+// booby trap fused to its function pointer) or a single member/dummy.
+// It indexes the generator's flat parts buffer.
+type unit struct {
+	first, n int
+	align    int
 }
 
-// Generate builds a randomized layout for the given fields.
-func Generate(fields []FieldInfo, cfg Config, rng *rand.Rand) (*Layout, error) {
+// Generator generates layouts into buffers it reuses across calls, so a
+// warmed generator allocates nothing. The layout Generate and
+// GenerateKeyed return lives in the generator and stays valid only
+// until the next call; Clone it to keep it. The zero value is ready to
+// use. Not safe for concurrent use.
+type Generator struct {
+	parts   []part
+	units   []unit
+	scratch Layout
+
+	// keyed/keyedRng are re-keyed per GenerateKeyed call instead of
+	// built afresh (rand.Rand keeps no state of its own on the draw
+	// paths Generate uses, so reuse changes no draw).
+	keyed    *keyedSource
+	keyedRng *rand.Rand
+}
+
+// Generate builds a randomized layout for the given fields. It makes
+// one Intn draw for the dummy count (ModeFull with a dummy range), then
+// one Shuffle over the units (ModeFull) or one per cache-line group
+// (ModeCacheLine); ModeIdentity draws nothing.
+func (g *Generator) Generate(fields []FieldInfo, cfg Config, rng *rand.Rand) (*Layout, error) {
 	if rng == nil && cfg.Mode != ModeIdentity {
 		return nil, fmt.Errorf("layout: nil rng for mode %v", cfg.Mode)
 	}
+	g.reset(len(fields), max(cfg.MinDummies, cfg.MaxDummies))
 	switch cfg.Mode {
 	case ModeIdentity:
-		return identityLayout(fields), nil
+		g.addFields(fields, false, 0)
 	case ModeFull:
-		return fullLayout(fields, cfg, rng), nil
+		ds := cfg.dummySize()
+		g.addFields(fields, cfg.BoobyTraps, ds)
+		nd := cfg.MinDummies
+		if cfg.MaxDummies > cfg.MinDummies {
+			nd += rng.Intn(cfg.MaxDummies - cfg.MinDummies + 1)
+		}
+		for d := 0; d < nd; d++ {
+			g.addUnit(ds, part{slot: Slot{Field: -1, Size: ds}, align: ds})
+		}
+		g.shuffleUnits(rng, 0, len(g.units))
 	case ModeCacheLine:
-		return cacheLineLayout(fields, cfg, rng), nil
+		// Shuffle members only within cache-line-sized groups of the
+		// original order (randstruct's "partially randomized considering
+		// the cache line", §II.C). Dummies are not inserted in this mode.
+		g.addFields(fields, false, 0)
+		line := cfg.cacheLine()
+		start, cum := 0, 0
+		for i, f := range fields {
+			if cum+f.Size > line && i > start {
+				g.shuffleUnits(rng, start, i)
+				start, cum = i, 0
+			}
+			cum += f.Size
+		}
+		if len(fields) > start {
+			g.shuffleUnits(rng, start, len(fields))
+		}
 	default:
 		return nil, fmt.Errorf("layout: unknown mode %d", cfg.Mode)
 	}
+	return g.place(len(fields)), nil
 }
 
-func identityLayout(fields []FieldInfo) *Layout {
-	l := &Layout{Offsets: make([]int, len(fields))}
-	off, maxAlign := 0, 1
+// reset empties the buffers, growing each to fit nFields members and up
+// to nDummies dummies in one allocation.
+func (g *Generator) reset(nFields, nDummies int) {
+	if n := nFields + nDummies; cap(g.units) < n {
+		g.units = make([]unit, 0, n)
+	}
+	if n := 2*nFields + nDummies; cap(g.parts) < n {
+		g.parts = make([]part, 0, n)
+		g.scratch.Slots = make([]Slot, 0, n)
+	}
+	g.parts, g.units = g.parts[:0], g.units[:0]
+}
+
+// addFields appends one unit per field, in field order. With traps, a
+// function pointer's unit carries a booby-trap dummy of at least ds
+// bytes directly in front of it.
+func (g *Generator) addFields(fields []FieldInfo, traps bool, ds int) {
 	for i, f := range fields {
-		off = alignUp(off, f.Align)
-		l.Offsets[i] = off
-		l.Slots = append(l.Slots, Slot{Field: i, Offset: off, Size: f.Size})
-		off += f.Size
-		if f.Align > maxAlign {
-			maxAlign = f.Align
+		member := part{slot: Slot{Field: i, Size: f.Size}, align: f.Align}
+		if !traps || !f.IsFptr {
+			g.addUnit(f.Align, member)
+			continue
 		}
+		t := max(ds, f.Align)
+		g.addUnit(t, part{slot: Slot{Field: -1, Size: t, Trap: true}, align: t}, member)
 	}
-	l.TotalSize = alignUp(off, maxAlign)
-	if l.TotalSize == 0 {
-		l.TotalSize = 1
-	}
-	l.hash = slotHash(l)
-	return l
 }
 
-func buildItems(fields []FieldInfo, cfg Config, rng *rand.Rand) []item {
-	items := make([]item, 0, len(fields)+cfg.MaxDummies)
-	for i, f := range fields {
-		it := item{align: f.Align}
-		if cfg.BoobyTraps && f.IsFptr {
-			ds := cfg.dummySize()
-			if ds < f.Align {
-				ds = f.Align
-			}
-			it.parts = append(it.parts, part{slot: Slot{Field: -1, Size: ds, Trap: true}, align: ds})
-			if ds > it.align {
-				it.align = ds
-			}
-		}
-		it.parts = append(it.parts, part{slot: Slot{Field: i, Size: f.Size}, align: f.Align})
-		items = append(items, it)
-	}
-	nd := cfg.MinDummies
-	if cfg.MaxDummies > cfg.MinDummies {
-		nd += rng.Intn(cfg.MaxDummies - cfg.MinDummies + 1)
-	}
-	ds := cfg.dummySize()
-	for d := 0; d < nd; d++ {
-		items = append(items, item{
-			parts: []part{{slot: Slot{Field: -1, Size: ds}, align: ds}},
-			align: ds,
-		})
-	}
-	return items
+func (g *Generator) addUnit(align int, parts ...part) {
+	g.units = append(g.units, unit{first: len(g.parts), n: len(parts), align: align})
+	g.parts = append(g.parts, parts...)
 }
 
-func placeItems(items []item, nFields int) *Layout {
-	l := &Layout{Offsets: make([]int, nFields)}
+func (g *Generator) shuffleUnits(rng *rand.Rand, from, to int) {
+	units := g.units[from:to]
+	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
+}
+
+// place lays the units out in their current order into the scratch
+// layout.
+func (g *Generator) place(nFields int) *Layout {
+	l := &g.scratch
+	l.Slots = l.Slots[:0]
+	if cap(l.Offsets) < nFields {
+		l.Offsets = make([]int, nFields)
+	}
+	l.Offsets = l.Offsets[:nFields]
+	l.Dummies = 0
 	off, maxAlign := 0, 1
-	for _, it := range items {
-		if it.align > maxAlign {
-			maxAlign = it.align
+	for _, u := range g.units {
+		if u.align > maxAlign {
+			maxAlign = u.align
 		}
-		off = alignUp(off, it.align)
-		for _, p := range it.parts {
+		off = alignUp(off, u.align)
+		for _, p := range g.parts[u.first : u.first+u.n] {
 			off = alignUp(off, p.align)
 			s := p.slot
 			s.Offset = off
@@ -261,46 +313,15 @@ func placeItems(items []item, nFields int) *Layout {
 	return l
 }
 
-func fullLayout(fields []FieldInfo, cfg Config, rng *rand.Rand) *Layout {
-	items := buildItems(fields, cfg, rng)
-	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-	return placeItems(items, len(fields))
-}
-
-// cacheLineLayout shuffles members only within cache-line-sized groups
-// of the original order (randstruct's "partially randomized considering
-// the cache line", §II.C). Dummies are not inserted in this mode.
-func cacheLineLayout(fields []FieldInfo, cfg Config, rng *rand.Rand) *Layout {
-	line := cfg.cacheLine()
-	var items []item
-	for i, f := range fields {
-		items = append(items, item{
-			parts: []part{{slot: Slot{Field: i, Size: f.Size}, align: f.Align}},
-			align: f.Align,
-		})
+// Generate builds a randomized layout for the given fields into a fresh
+// Generator and returns a heap copy of it.
+func Generate(fields []FieldInfo, cfg Config, rng *rand.Rand) (*Layout, error) {
+	var g Generator
+	l, err := g.Generate(fields, cfg, rng)
+	if err != nil {
+		return nil, err
 	}
-	// Group by cumulative static size.
-	var groups [][]item
-	cum := 0
-	cur := []item{}
-	for i, it := range items {
-		if cum+fields[i].Size > line && len(cur) > 0 {
-			groups = append(groups, cur)
-			cur = nil
-			cum = 0
-		}
-		cur = append(cur, it)
-		cum += fields[i].Size
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	var shuffled []item
-	for _, g := range groups {
-		rng.Shuffle(len(g), func(i, j int) { g[i], g[j] = g[j], g[i] })
-		shuffled = append(shuffled, g...)
-	}
-	return placeItems(shuffled, len(fields))
+	return l.Clone(), nil
 }
 
 func canonicalKey(l *Layout) string {

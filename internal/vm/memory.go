@@ -51,6 +51,9 @@ type Memory struct {
 	lastPage  []byte
 	last2Idx  uint64
 	last2Page []byte
+
+	// copyBuf is Copy's staging buffer, reused across calls.
+	copyBuf []byte
 }
 
 func newMemory() *Memory {
@@ -203,14 +206,28 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
+	m.read(addr, out)
+	return out, nil
+}
+
+// Read copies len(b) bytes starting at addr into b.
+func (m *Memory) Read(addr uint64, b []byte) error {
+	if err := m.check(addr, len(b)); err != nil {
+		return err
+	}
+	m.read(addr, b)
+	return nil
+}
+
+// read is Read after the fault check.
+func (m *Memory) read(addr uint64, b []byte) {
 	i := 0
-	for i < n {
+	for i < len(b) {
 		off := (addr + uint64(i)) & (pageSize - 1)
 		p := m.page((addr + uint64(i)) >> pageBits)
-		c := copy(out[i:], p[off:])
+		c := copy(b[i:], p[off:])
 		i += c
 	}
-	return out, nil
 }
 
 // WriteBytes copies b into memory at addr.
@@ -228,15 +245,21 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 	return nil
 }
 
-// Copy moves n bytes from src to dst (handles overlap like memmove).
+// Copy moves n bytes from src to dst (handles overlap like memmove: the
+// whole source is read into the reused copy buffer before any byte is
+// written). The source is checked before the destination.
 func (m *Memory) Copy(dst, src uint64, n int) error {
 	if n == 0 {
 		return nil
 	}
-	b, err := m.ReadBytes(src, n)
-	if err != nil {
+	if err := m.check(src, n); err != nil {
 		return err
 	}
+	if cap(m.copyBuf) < n {
+		m.copyBuf = make([]byte, n)
+	}
+	b := m.copyBuf[:n]
+	m.read(src, b)
 	return m.WriteBytes(dst, b)
 }
 
