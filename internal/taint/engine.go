@@ -63,23 +63,20 @@ func (s *shadowMem) page(idx uint64, create bool) []Label {
 	return p
 }
 
-func (s *shadowMem) get(addr uint64) Label {
-	if p := s.page(addr>>shadowPageBits, false); p != nil {
-		return p[addr&(shadowPageSize-1)]
-	}
-	return 0
-}
-
-func (s *shadowMem) set(addr uint64, l Label) {
-	if p := s.page(addr>>shadowPageBits, l != 0); p != nil {
-		p[addr&(shadowPageSize-1)] = l
-	}
-}
-
+// rangeOr returns the union of the labels of [addr, addr+n), a page at
+// a time.
 func (s *shadowMem) rangeOr(addr uint64, n int) Label {
 	var l Label
-	for i := 0; i < n; i++ {
-		l |= s.get(addr + uint64(i))
+	for n > 0 {
+		lo := int(addr & (shadowPageSize - 1))
+		hi := min(lo+n, shadowPageSize)
+		if p := s.page(addr>>shadowPageBits, false); p != nil {
+			for _, x := range p[lo:hi] {
+				l |= x
+			}
+		}
+		addr += uint64(hi - lo)
+		n -= hi - lo
 	}
 	return l
 }
@@ -91,34 +88,75 @@ func (s *shadowMem) setRange(addr uint64, n int, l Label) {
 		lo := int(addr & (shadowPageSize - 1))
 		hi := min(lo+n, shadowPageSize)
 		if p := s.page(addr>>shadowPageBits, l != 0); p != nil {
-			for i := lo; i < hi; i++ {
-				p[i] = l
-			}
+			fill(p[lo:hi], l)
 		}
 		addr += uint64(hi - lo)
 		n -= hi - lo
 	}
 }
 
+// fill sets every label of p to l.
+func fill(p []Label, l Label) {
+	for i := range p {
+		p[i] = l
+	}
+}
+
+// copyRange copies the labels of [src, src+n) to [dst, dst+n) with
+// memmove semantics, in chunks that stay inside one source and one
+// destination page. Chunks run front to back when dst < src and back to
+// front otherwise, so no chunk reads labels an earlier chunk wrote. A
+// destination page is only created for a chunk carrying a nonzero
+// label.
 func (s *shadowMem) copyRange(dst, src uint64, n int) {
 	if dst == src || n <= 0 {
 		return
 	}
-	// Match memmove semantics over the label array.
-	if dst < src {
-		for i := 0; i < n; i++ {
-			s.set(dst+uint64(i), s.get(src+uint64(i)))
+	forward := dst < src
+	for n > 0 {
+		var d, sr uint64
+		var k int
+		if forward {
+			d, sr = dst, src
+			k = min(n, shadowPageSize-int(d&(shadowPageSize-1)), shadowPageSize-int(sr&(shadowPageSize-1)))
+			dst += uint64(k)
+			src += uint64(k)
+		} else {
+			de, se := dst+uint64(n), src+uint64(n)
+			k = min(n, int((de-1)&(shadowPageSize-1))+1, int((se-1)&(shadowPageSize-1))+1)
+			d, sr = de-uint64(k), se-uint64(k)
 		}
-		return
-	}
-	for i := n - 1; i >= 0; i-- {
-		s.set(dst+uint64(i), s.get(src+uint64(i)))
+		n -= k
+		so := int(sr & (shadowPageSize - 1))
+		sp := s.page(sr>>shadowPageBits, false)
+		var from []Label
+		if sp != nil {
+			from = sp[so : so+k]
+		}
+		nonzero := false
+		for _, x := range from {
+			if x != 0 {
+				nonzero = true
+				break
+			}
+		}
+		do := int(d & (shadowPageSize - 1))
+		dp := s.page(d>>shadowPageBits, nonzero)
+		if dp == nil {
+			continue
+		}
+		if nonzero {
+			copy(dp[do:do+k], from)
+		} else {
+			fill(dp[do:do+k], 0)
+		}
 	}
 }
 
-// frame is the shadow register file for one call frame.
+// frame is one call frame's slice of the engine's flat label stack.
 type frame struct {
-	regs []Label
+	// base is the frame's first register label in Engine.labels.
+	base int
 	// control accumulates labels of branch conditions executed in this
 	// frame (inherited by callees) — the coarse implicit-flow
 	// approximation described in DESIGN.md.
@@ -128,11 +166,21 @@ type frame struct {
 // Engine implements vm.Hooks. Create one per execution, pass it to
 // vm.New via vm.WithHooks, then Bind the VM so attribution can resolve
 // addresses to objects.
+//
+// The shadow register files of all live frames share one flat label
+// stack; the top frame's registers and record are cached, so a call
+// pushes a frame without allocating once the stack has grown.
 type Engine struct {
 	v      *vm.VM
 	shadow *shadowMem
-	stack  []*frame
 	report *Report
+
+	labels []Label
+	frames []frame
+	// regs and top cache the current frame's labels and record (nil
+	// outside any frame).
+	regs []Label
+	top  *frame
 
 	// sourceLabel is applied to input_* reads.
 	sourceLabel Label
@@ -164,55 +212,64 @@ func (e *Engine) SetSourceLabel(l Label) { e.sourceLabel = l }
 // SetTelemetry attaches the observability layer (nil detaches).
 func (e *Engine) SetTelemetry(t *telemetry.Telemetry) { e.tel = t }
 
-func (e *Engine) top() *frame {
-	if len(e.stack) == 0 {
-		return nil
+// taintOf is the label of register r of the current frame (0 for
+// vm.NoReg or outside any frame).
+func (e *Engine) taintOf(r int32) Label {
+	if uint(r) < uint(len(e.regs)) {
+		return e.regs[r]
 	}
-	return e.stack[len(e.stack)-1]
-}
-
-func (e *Engine) taintOf(fr *frame, v ir.Value) Label {
-	if fr == nil || v.Kind != ir.ValReg {
-		return 0
-	}
-	if v.Reg >= len(fr.regs) {
-		return 0
-	}
-	return fr.regs[v.Reg]
+	return 0
 }
 
 func (e *Engine) setReg(dest int, l Label) {
-	fr := e.top()
-	if fr == nil || dest < 0 || dest >= len(fr.regs) {
-		return
+	if uint(dest) < uint(len(e.regs)) {
+		e.regs[dest] = l
 	}
-	fr.regs[dest] = l
+}
+
+// control is the current frame's control label.
+func (e *Engine) control() Label {
+	if e.top == nil {
+		return 0
+	}
+	return e.top.control
 }
 
 // Enter implements vm.Hooks.
-func (e *Engine) Enter(fn *ir.Func, args []ir.Value) {
-	parent := e.top()
-	fr := &frame{regs: make([]Label, fn.NumRegs)}
-	if parent != nil {
-		fr.control = parent.control
-		for i := range args {
-			if i >= len(fr.regs) {
+func (e *Engine) Enter(fn *ir.Func, args []int32) {
+	base := len(e.labels)
+	n := fn.NumRegs
+	e.labels = append(e.labels, make([]Label, n)...) // zeroed, no temporary
+	regs := e.labels[base : base+n : base+n]
+	control := Label(0)
+	if e.top != nil {
+		caller := e.labels[e.top.base:base]
+		for i, a := range args {
+			if i >= n {
 				break
 			}
-			fr.regs[i] = e.taintOf(parent, args[i])
+			if uint(a) < uint(len(caller)) {
+				regs[i] = caller[a]
+			}
 		}
+		control = e.top.control
 	}
-	e.stack = append(e.stack, fr)
+	e.frames = append(e.frames, frame{base: base, control: control})
+	e.regs, e.top = regs, &e.frames[len(e.frames)-1]
 }
 
 // Exit implements vm.Hooks.
-func (e *Engine) Exit(retArg *ir.Value, callerDest int) {
-	fr := e.top()
-	e.stack = e.stack[:len(e.stack)-1]
-	if retArg == nil || callerDest < 0 {
+func (e *Engine) Exit(ret int32, callerDest int) {
+	l := e.taintOf(ret)
+	e.labels = e.labels[:e.top.base]
+	e.frames = e.frames[:len(e.frames)-1]
+	if len(e.frames) == 0 {
+		e.regs, e.top = nil, nil
 		return
 	}
-	e.setReg(callerDest, e.taintOf(fr, *retArg))
+	e.top = &e.frames[len(e.frames)-1]
+	e.regs = e.labels[e.top.base:len(e.labels):len(e.labels)]
+	e.setReg(callerDest, l)
 }
 
 // Load implements vm.Hooks.
@@ -221,8 +278,8 @@ func (e *Engine) Load(dest int, addr uint64, size int) {
 }
 
 // Store implements vm.Hooks.
-func (e *Engine) Store(src ir.Value, addr uint64, size int) {
-	l := e.taintOf(e.top(), src)
+func (e *Engine) Store(src int32, addr uint64, size int) {
+	l := e.taintOf(src)
 	e.shadow.setRange(addr, size, l)
 	if l != 0 {
 		e.attribute(addr, size, l)
@@ -230,20 +287,19 @@ func (e *Engine) Store(src ir.Value, addr uint64, size int) {
 }
 
 // Bin implements vm.Hooks.
-func (e *Engine) Bin(dest int, a, b ir.Value) {
-	fr := e.top()
-	e.setReg(dest, e.taintOf(fr, a)|e.taintOf(fr, b))
+func (e *Engine) Bin(dest int, a, b int32) {
+	e.setReg(dest, e.taintOf(a)|e.taintOf(b))
 }
 
 // Un implements vm.Hooks.
-func (e *Engine) Un(dest int, a ir.Value) {
-	e.setReg(dest, e.taintOf(e.top(), a))
+func (e *Engine) Un(dest int, a int32) {
+	e.setReg(dest, e.taintOf(a))
 }
 
 // PtrDerive implements vm.Hooks (GEP-like arithmetic keeps the base
 // pointer's label, as DFSan does for getelementptr).
-func (e *Engine) PtrDerive(dest int, base ir.Value) {
-	e.setReg(dest, e.taintOf(e.top(), base))
+func (e *Engine) PtrDerive(dest int, base int32) {
+	e.setReg(dest, e.taintOf(base))
 }
 
 // Memcpy implements vm.Hooks.
@@ -260,12 +316,10 @@ func (e *Engine) Memset(dst uint64, n int) {
 }
 
 // CondBr implements vm.Hooks.
-func (e *Engine) CondBr(cond ir.Value) {
-	fr := e.top()
-	if fr == nil {
-		return
+func (e *Engine) CondBr(cond int32) {
+	if e.top != nil {
+		e.top.control |= e.taintOf(cond)
 	}
-	fr.control |= e.taintOf(fr, cond)
 }
 
 // Alloc implements vm.Hooks: fresh chunks start untainted; an
@@ -274,27 +328,21 @@ func (e *Engine) CondBr(cond ir.Value) {
 func (e *Engine) Alloc(dest int, addr uint64, size int, st *ir.StructType) {
 	e.setReg(dest, 0)
 	e.shadow.setRange(addr, size, 0)
-	fr := e.top()
-	if st != nil && fr != nil && fr.control != 0 {
-		e.report.markAlloc(st, fr.control)
+	if c := e.control(); st != nil && c != 0 {
+		e.report.markAlloc(st, c)
 	}
 }
 
 // Free implements vm.Hooks.
-func (e *Engine) Free(addr uint64) {
-	fr := e.top()
-	if fr == nil || fr.control == 0 || e.v == nil {
-		return
-	}
-	if st, ok := e.v.ObjectType(addr); ok {
-		e.report.markFree(st, fr.control)
+func (e *Engine) Free(addr uint64, st *ir.StructType) {
+	if c := e.control(); st != nil && c != 0 {
+		e.report.markFree(st, c)
 	}
 }
 
 // Builtin implements vm.Hooks: input_* are taint sources; other
 // builtins propagate the union of argument labels to their result.
-func (e *Engine) Builtin(name string, args []ir.Value, argVals []int64, ret int64, dest int) {
-	fr := e.top()
+func (e *Engine) Builtin(name string, args []int32, argVals []int64, ret int64, dest int) {
 	switch name {
 	case "input_read":
 		dst := uint64(argVals[0])
@@ -309,7 +357,7 @@ func (e *Engine) Builtin(name string, args []ir.Value, argVals []int64, ret int6
 	default:
 		var l Label
 		for _, a := range args {
-			l |= e.taintOf(fr, a)
+			l |= e.taintOf(a)
 		}
 		e.setReg(dest, l)
 	}

@@ -62,10 +62,3 @@ func analyzeInto(p *vm.Program, input []byte, opts RunOptions, rep *Report) erro
 	}
 	return nil
 }
-
-// vmNewForTest builds a VM with the engine attached (test helper kept
-// here so the engine wiring stays in one place).
-func vmNewForTest(t interface{ Helper() }, m *ir.Module, eng *Engine, input []byte) (*vm.VM, error) {
-	t.Helper()
-	return vm.New(ir.Clone(m), vm.WithHooks(eng), vm.WithInput(input))
-}

@@ -1,10 +1,18 @@
 package taint
 
 import (
+	"math/rand"
 	"testing"
 
 	"polar/internal/ir"
+	"polar/internal/vm"
 )
+
+// vmNewForTest builds a VM with the engine attached.
+func vmNewForTest(t interface{ Helper() }, m *ir.Module, eng *Engine, input []byte) (*vm.VM, error) {
+	t.Helper()
+	return vm.New(ir.Clone(m), vm.WithHooks(eng), vm.WithInput(input))
+}
 
 // buildTaintModule: reads input into a buffer, stores input-derived
 // values into Hot's fields, constant values into Cold's fields, and
@@ -283,7 +291,7 @@ func TestShadowMemZeroFillIsSparse(t *testing.T) {
 	s := newShadowMem()
 	const huge = 64 << 20 // a 64 MiB zero fill, as a large malloc clears
 	s.setRange(1<<32, huge, 0)
-	if got := s.rangeOr(1<<32, huge); got != 0 || s.get(1<<32+12345) != 0 {
+	if got := s.rangeOr(1<<32, huge); got != 0 || s.rangeOr(1<<32+12345, 1) != 0 {
 		t.Fatalf("untouched memory reads %d, want 0", got)
 	}
 	if len(s.pages) != 0 {
@@ -292,7 +300,7 @@ func TestShadowMemZeroFillIsSparse(t *testing.T) {
 
 	base := uint64(3*shadowPageSize - 16) // straddles a page boundary
 	s.setRange(base, 32, 6)
-	s.set(base+40, 1)
+	s.setRange(base+40, 1, 1)
 	s.setRange(base+8, 16, 0) // clear the middle, across the boundary
 	for i := uint64(0); i < 48; i++ {
 		want := Label(0)
@@ -302,7 +310,7 @@ func TestShadowMemZeroFillIsSparse(t *testing.T) {
 		case i == 40:
 			want = 1
 		}
-		if got := s.get(base + i); got != want {
+		if got := s.rangeOr(base+i, 1); got != want {
 			t.Errorf("label at base+%d = %d, want %d", i, got, want)
 		}
 	}
@@ -358,5 +366,42 @@ func TestMultiLabelProvenance(t *testing.T) {
 	}
 	if ft[0].Labels != (1<<3)|(1<<7) {
 		t.Fatalf("labels = %#x, want union of both sources", ft[0].Labels)
+	}
+}
+
+// TestShadowCopyRangeIsMemmove checks the page-wise copyRange against a
+// byte-by-byte memmove over the labels, for overlapping copies in both
+// directions across page boundaries and from missing pages.
+func TestShadowCopyRangeIsMemmove(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		s := newShadowMem()
+		ref := map[uint64]Label{}
+		base := uint64(4 * shadowPageSize)
+		for i := 0; i < 40; i++ {
+			a := base + uint64(rng.Intn(3*shadowPageSize))
+			n := 1 + rng.Intn(64)
+			l := Label(rng.Intn(4))
+			s.setRange(a, n, l)
+			for k := uint64(0); k < uint64(n); k++ {
+				ref[a+k] = l
+			}
+		}
+		src := base - shadowPageSize + uint64(rng.Intn(4*shadowPageSize))
+		dst := src + uint64(rng.Intn(2*shadowPageSize)) - shadowPageSize
+		n := rng.Intn(2 * shadowPageSize)
+		s.copyRange(dst, src, n)
+		moved := make([]Label, n)
+		for k := range moved {
+			moved[k] = ref[src+uint64(k)]
+		}
+		for k, l := range moved {
+			ref[dst+uint64(k)] = l
+		}
+		for a := base - 2*shadowPageSize; a < base+5*shadowPageSize; a++ {
+			if got := s.rangeOr(a, 1); got != ref[a] {
+				t.Fatalf("trial %d: copy %#x <- %#x (%d): label at %#x = %d, want %d", trial, dst, src, n, a, got, ref[a])
+			}
+		}
 	}
 }

@@ -64,6 +64,30 @@ const (
 	// the block terminator (br/condbr), in which case the last micro
 	// performs the branch.
 	bcFused
+
+	// Hook opcodes exist only in the hooked lowering (hooked.go):
+	// weight-0 instructions that report one Hooks event, or prepare one,
+	// with pre-decoded operand indices. Post-hooks follow their
+	// instruction. Pre-hooks precede it and only stash state its
+	// post-hook or the callee needs. Terminator hooks precede their
+	// terminator and fire only once it is certain to run. The dispatch
+	// loop calls the frequent events directly and hands the rest to
+	// VM.hook.
+	bcHookLoad
+	bcHookStore
+	bcHookBin
+	bcHookUn
+	bcHookPtr
+	bcHookCondBr // terminator hook
+	bcHookExit   // terminator hook
+	bcHookMemcpy
+	bcHookMemset
+	bcHookAlloc
+	bcHookFree
+	bcHookBuiltin
+	bcHookSave     // pre-hook: regs[d2] = a, an operand the instruction overwrites
+	bcHookFreeType // pre-hook: VM.hookType = the tracked type of the object at a
+	bcHookCall     // pre-hook: VM.hookArgs, VM.hookDest = the callee's Enter operands
 )
 
 // weight is the number of source instructions an instruction accounts
@@ -73,6 +97,8 @@ func (in *bcInstr) weight() uint32 {
 	switch {
 	case in.op == bcFused:
 		return uint32(len(in.micro))
+	case in.op >= bcHookLoad:
+		return 0
 	case in.op >= bcFieldLoad:
 		return 2
 	default:
@@ -225,6 +251,12 @@ type bcFunc struct {
 	// callBC right after the parameters), so the micro loop reads every
 	// operand as regs[idx] with no reg-vs-const branch.
 	consts []bcConst
+	// covHash is the function's nameHash, the prefix of its coverage
+	// edge hashes.
+	covHash uint64
+	// hookRegs holds the operand-index lists of the hooked lowering's
+	// call and builtin events; a hook instruction's off indexes it.
+	hookRegs [][]int32
 }
 
 // bcConst is one pooled micro-operand constant: val is written to frame

@@ -17,11 +17,11 @@ import "fmt"
 // It stays as the reference semantics and as the ablation baseline
 // (polarun/polarbench -engine=legacy).
 //
-// Fine-grained instruction observers (WithHooks, WithTrace) are only
-// implemented by the tree-walker; a VM configured for bytecode falls
-// back to the legacy engine for the run when either is attached, so
-// taint analysis and instruction tracing see exactly the semantics they
-// always did.
+// Hooks (WithHooks) run on either engine and fire identical event
+// streams: a hooked bytecode instance executes the Program's hooked
+// lowering (see Program.hookedFuncs). The instruction tracer (WithTrace)
+// is a tree-walker facility; a VM configured for bytecode falls back to
+// the legacy engine for the run when it is attached.
 type Engine uint8
 
 // Engines.
@@ -61,13 +61,14 @@ func WithEngine(e Engine) Option {
 }
 
 // Engine returns the engine this instance was configured with. The
-// effective engine for a run may still be EngineLegacy when hooks or an
-// instruction trace are attached (see Engine's doc).
+// effective engine for a run may still be EngineLegacy when an
+// instruction trace is attached (see Engine's doc).
 func (v *VM) Engine() Engine { return v.engine }
 
-// useBytecode reports whether runs on this instance execute the lowered
-// bytecode. Hooks and instruction tracing are tree-walker facilities;
-// attaching either falls back to the reference engine.
+// useBytecode reports whether runs on this instance execute lowered
+// bytecode. Instruction tracing is a tree-walker facility; attaching it
+// falls back to the reference engine. Hooks do not: they select the
+// hooked lowering instead (NewInstance).
 func (v *VM) useBytecode() bool {
-	return v.engine == EngineBytecode && v.hooks == nil && v.instrLog == nil
+	return v.engine == EngineBytecode && v.instrLog == nil
 }

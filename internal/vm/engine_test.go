@@ -237,9 +237,10 @@ func TestFusedIntermediateRegisterVisible(t *testing.T) {
 	}
 }
 
-// TestBytecodeFallsBackForObservers: hooks and instruction tracing are
-// tree-walker facilities; a bytecode-configured VM must transparently
-// run legacy when they are attached (and still produce the events).
+// TestBytecodeFallsBackForObservers: instruction tracing is a
+// tree-walker facility, so a bytecode-configured VM must transparently
+// run legacy when it is attached (and still produce the trace). Hooks
+// are not: a hooked bytecode VM stays on bytecode and fires them.
 func TestBytecodeFallsBackForObservers(t *testing.T) {
 	m := ir.NewModule("fallback")
 	b := ir.NewFunc(m, "main", ir.I64)
@@ -257,42 +258,23 @@ func TestBytecodeFallsBackForObservers(t *testing.T) {
 		t.Fatalf("trace empty under fallback: %q", tr.String())
 	}
 
-	h := &countingHooks{}
+	h := &recordingHooks{}
 	v2 := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode), WithHooks(h))
-	if v2.useBytecode() {
-		t.Fatal("hooks must fall back to the tree-walker")
+	if !v2.useBytecode() {
+		t.Fatal("hooks must not fall back to the tree-walker")
 	}
 	if _, err := v2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if h.enters == 0 || h.bins == 0 {
-		t.Fatalf("hooks not fired under fallback: %+v", h)
+	want := []string{"enter main []", "bin 0 -1 -1", "exit 0 -1"}
+	if !reflect.DeepEqual(h.events, want) {
+		t.Fatalf("hooked bytecode events = %q, want %q", h.events, want)
 	}
 
 	v3 := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode))
 	if !v3.useBytecode() {
 		t.Fatal("plain bytecode VM should not fall back")
 	}
-}
-
-type countingHooks struct {
-	enters, bins int
-}
-
-func (h *countingHooks) Enter(fn *ir.Func, args []ir.Value)     { h.enters++ }
-func (h *countingHooks) Exit(retArg *ir.Value, callerDest int)  {}
-func (h *countingHooks) Load(dest int, addr uint64, size int)   {}
-func (h *countingHooks) Store(src ir.Value, addr uint64, n int) {}
-func (h *countingHooks) Bin(dest int, a, b ir.Value)            { h.bins++ }
-func (h *countingHooks) Un(dest int, a ir.Value)                {}
-func (h *countingHooks) PtrDerive(dest int, base ir.Value)      {}
-func (h *countingHooks) Memcpy(dst, src uint64, n int)          {}
-func (h *countingHooks) Memset(dst uint64, n int)               {}
-func (h *countingHooks) CondBr(cond ir.Value)                   {}
-func (h *countingHooks) Alloc(dest int, addr uint64, size int, st *ir.StructType) {
-}
-func (h *countingHooks) Free(addr uint64) {}
-func (h *countingHooks) Builtin(name string, args []ir.Value, argVals []int64, ret int64, dest int) {
 }
 
 // TestProfilerAttributionConservation: with per-instruction

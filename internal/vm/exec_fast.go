@@ -231,6 +231,11 @@ func (v *VM) callBC(f *bcFunc, args []int64) (int64, error) {
 	for i := range f.consts {
 		regs[f.consts[i].slot] = f.consts[i].val
 	}
+	callerDest := -1
+	if v.hooks != nil {
+		callerDest = v.hookDest
+		v.hooks.Enter(fn, v.hookArgs)
+	}
 
 	code := f.code
 	mem := v.Mem
@@ -253,7 +258,7 @@ blockLoop:
 			psc = c
 		}
 		if v.coverage != nil {
-			e := edgeHash(fn, prevBlk, blk)
+			e := edgeHash(f.covHash, prevBlk, blk)
 			if c := &v.coverage[e]; *c < 255 {
 				*c++
 			}
@@ -430,11 +435,29 @@ blockLoop:
 				off := in.b.arg(regs)
 				regs[in.dest] = int64(base + uint64(off))
 			case bcBin:
-				r, err := evalBin(ir.BinKind(in.kind), in.a.arg(regs), in.b.arg(regs))
-				if err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+				// The non-faulting kinds inline: an unfused Bin is common
+				// in the hooked lowering.
+				a, b := in.a.arg(regs), in.b.arg(regs)
+				switch ir.BinKind(in.kind) {
+				case ir.BinAdd:
+					regs[in.dest] = a + b
+				case ir.BinSub:
+					regs[in.dest] = a - b
+				case ir.BinMul:
+					regs[in.dest] = a * b
+				case ir.BinAnd:
+					regs[in.dest] = a & b
+				case ir.BinOr:
+					regs[in.dest] = a | b
+				case ir.BinXor:
+					regs[in.dest] = a ^ b
+				default:
+					r, err := evalBin(ir.BinKind(in.kind), a, b)
+					if err != nil {
+						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					}
+					regs[in.dest] = r
 				}
-				regs[in.dest] = r
 			case bcFBin:
 				a := math.Float64frombits(uint64(in.a.arg(regs)))
 				b := math.Float64frombits(uint64(in.b.arg(regs)))
@@ -665,7 +688,7 @@ blockLoop:
 						charged -= suffix
 					}
 				}
-				ret, err := v.callBC(v.prog.bcFuncs[in.off], argv)
+				ret, err := v.callBC(v.bcFuncs[in.off], argv)
 				if err != nil {
 					if psc != nil && charged != 0 {
 						psc.AddCycles(charged)
@@ -720,6 +743,30 @@ blockLoop:
 				if in.dest >= 0 {
 					regs[in.dest] = ret
 				}
+			case bcHookLoad:
+				v.hooks.Load(int(in.dest), uint64(in.a.arg(regs)), int(in.size))
+			case bcHookStore:
+				v.hooks.Store(in.t0, uint64(in.b.arg(regs)), int(in.size))
+			case bcHookBin:
+				v.hooks.Bin(int(in.dest), in.t0, in.t1)
+			case bcHookUn:
+				v.hooks.Un(int(in.dest), in.t0)
+			case bcHookPtr:
+				v.hooks.PtrDerive(int(in.dest), in.t0)
+			case bcHookCondBr, bcHookExit:
+				// A terminator that runs out of fuel never reaches its
+				// event in the tree-walker.
+				if !batched && v.fuelLeft == 0 {
+					break
+				}
+				if in.op == bcHookCondBr {
+					v.hooks.CondBr(in.t0)
+				} else {
+					v.hooks.Exit(in.t0, callerDest)
+				}
+			case bcHookMemcpy, bcHookMemset, bcHookAlloc, bcHookFree, bcHookBuiltin,
+				bcHookSave, bcHookFreeType, bcHookCall:
+				v.hook(f, in, regs)
 			case bcRet, bcRetVoid:
 				var rv int64
 				if in.op == bcRet {

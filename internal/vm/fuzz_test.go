@@ -14,11 +14,11 @@ import (
 const fuzzFuel = 20000
 
 // FuzzCompile feeds arbitrary text through the parser and validator,
-// then holds every module that passes to three properties: it
-// compiles, it runs on both engines under a fixed fuel budget without
-// panicking, and the two engines agree on the returned value, the
-// error text, Stats and the output log. The seeds are the committed
-// examples/**/*.ir modules.
+// then holds every module that passes to four properties: it compiles,
+// it runs on both engines under a fixed fuel budget without panicking,
+// the two engines agree on the returned value, the error text, Stats
+// and the output log, and under a recording Hooks they report identical
+// event streams. The seeds are the committed examples/**/*.ir modules.
 func FuzzCompile(f *testing.F) {
 	root := filepath.Join("..", "..", "examples")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -74,5 +74,7 @@ func FuzzCompile(f *testing.F) {
 		if rb != rl || vb.Stats != vl.Stats || string(vb.Output()) != string(vl.Output()) {
 			t.Fatalf("engines diverge: result %d/%d\n%+v\n%+v", rb, rl, vb.Stats, vl.Stats)
 		}
+		opts := []Option{WithFuel(fuzzFuel), WithInput([]byte("fuzz"))}
+		diffHooked(t, "hooked", runHooked(t, prog, EngineBytecode, opts, args...), runHooked(t, prog, EngineLegacy, opts, args...))
 	})
 }

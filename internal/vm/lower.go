@@ -24,6 +24,9 @@ import (
 //     the virtual registers into a small dense operand file, shrinking
 //     the per-call frame the interpreter must zero and keeping hot
 //     registers on the same cache lines.
+//
+// Hooked instances run phase 1 alone, with hook instructions added
+// (hooked.go).
 
 // lowerModule lowers every function of the compiled module.
 func (p *Program) lowerModule(opts CompileOpts) error {
@@ -210,23 +213,6 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 		} else {
 			out.op = bcCallBuiltin
 			out.off = int32(p.builtinSlotFor(in.Callee))
-			if in.Callee == olrGetptrName && len(in.Args) == 3 {
-				// Per-call-site inline layout cache slot. The Program
-				// only numbers the sites; the entries live per instance
-				// and the legacy engine finds its slot via icSlotOf.
-				// Under static facts the precomputed plan decides the
-				// slot instead — possibly shared, possibly none.
-				if p.icPlan != nil {
-					if slot, ok := p.icPlan[in]; ok && slot >= 0 {
-						out.ic = slot
-						p.icSlotOf[in] = out.ic
-					}
-				} else {
-					out.ic = int32(p.numICSites)
-					p.icSlotOf[in] = out.ic
-					p.numICSites++
-				}
-			}
 		}
 	case ir.OpRet:
 		if len(in.Args) == 1 {
@@ -243,6 +229,28 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 		out.op = bcInvalid
 	}
 	return out
+}
+
+// assignIC gives an olr_getptr call site its inline layout-cache slot.
+// The Program only numbers the sites; the entries live per instance and
+// the legacy engine finds its slot via icSlotOf. Under static facts the
+// precomputed plan decides the slot instead — possibly shared, possibly
+// none. Only the default lowering carries cache slots.
+func (p *Program) assignIC(out *bcInstr) {
+	in := out.irIn
+	if out.op != bcCallBuiltin || in.Callee != olrGetptrName || len(in.Args) != 3 {
+		return
+	}
+	if p.icPlan != nil {
+		if slot, ok := p.icPlan[in]; ok && slot >= 0 {
+			out.ic = slot
+			p.icSlotOf[in] = out.ic
+		}
+		return
+	}
+	out.ic = int32(p.numICSites)
+	p.icSlotOf[in] = out.ic
+	p.numICSites++
 }
 
 // microFor pre-decodes one fusable source instruction into a micro-op.
@@ -452,12 +460,20 @@ func (p *Program) lowerFunc(f *ir.Func) (*bcFunc, error) {
 				ii = hi
 				continue
 			}
-			emit(p.lowerOne(&blk.Instrs[ii]))
+			out := p.lowerOne(&blk.Instrs[ii])
+			p.assignIC(&out)
+			emit(out)
 			ii++
 		}
 		bf.blocks[bi] = bcBlock{start: start, cost: cost, irb: blk}
 	}
-	// Cumulative weights: wTo[pc] prices code[:pc].
+	bf.finish()
+	return bf, nil
+}
+
+// finish computes the cumulative weights (wTo[pc] prices code[:pc]) and
+// the coverage name hash once the code is complete.
+func (bf *bcFunc) finish() {
 	bf.wTo = make([]uint32, len(bf.code)+1)
 	w := uint32(0)
 	for pc := range bf.code {
@@ -465,5 +481,5 @@ func (p *Program) lowerFunc(f *ir.Func) (*bcFunc, error) {
 		w += bf.code[pc].weight()
 	}
 	bf.wTo[len(bf.code)] = w
-	return bf, nil
+	bf.covHash = nameHash(bf.fn.Name)
 }

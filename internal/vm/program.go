@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"polar/internal/heap"
 	"polar/internal/ir"
@@ -56,6 +57,11 @@ type Program struct {
 	numICSites int
 	icSlotOf   map[*ir.Instr]int32
 	icPlan     map[*ir.Instr]int32
+
+	// hooked is the lowering hooked instances run (hooked.go), built by
+	// hookedFuncs on first use; it is not part of Fingerprint.
+	hookedOnce sync.Once
+	hooked     []*bcFunc
 }
 
 type globalInit struct {
@@ -287,6 +293,10 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	// defaults below, core.Runtime.Attach later) so every registration
 	// lands in both the name map and the bytecode callee table.
 	v.builtinSlots = make([]Builtin, len(p.builtinSlot))
+	v.bcFuncs = p.bcFuncs
+	if v.hooks != nil && v.useBytecode() {
+		v.bcFuncs = p.hookedFuncs()
+	}
 	if p.numICSites > 0 {
 		// Inline layout-cache entries are per instance (they memoize
 		// instance-specific randomized offsets) and start invalid: a

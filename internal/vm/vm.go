@@ -33,41 +33,72 @@ type Stats struct {
 	MaxDepth     int
 }
 
+// NoReg is the operand index Hooks receive for an operand that is not
+// a register: an immediate, a global address or a function reference.
+const NoReg int32 = -1
+
 // Hooks receives fine-grained execution events; the taint engine
-// implements it. All methods are invoked after the VM has performed the
-// operation. A nil Hooks disables tracing with no overhead beyond a nil
-// check.
+// implements it. Operands arrive as register indices of the frame the
+// instruction runs in (NoReg for a non-register operand), so both
+// engines report an event with pre-decoded integers and no operand
+// value. All methods except CondBr and Exit are invoked after the VM has
+// performed the operation; CondBr and Exit fire once their instruction
+// is certain to run. A nil Hooks disables tracing with no overhead
+// beyond a nil check. Both engines fire identical event streams.
 type Hooks interface {
 	// Enter is called when a frame is pushed; args are the caller-frame
-	// operands (so the hook can transfer operand taints to parameters).
-	Enter(fn *ir.Func, args []ir.Value)
-	// Exit is called when a frame is popped. retArg is the callee-frame
-	// return operand (nil for void) and callerDest the caller register
-	// receiving the result (-1 if discarded).
-	Exit(retArg *ir.Value, callerDest int)
+	// register indices of the call operands (so the hook can transfer
+	// operand taints to parameters). The slice is only valid during the
+	// call.
+	Enter(fn *ir.Func, args []int32)
+	// Exit is called when a frame is popped. ret is the callee-frame
+	// register of the return operand (NoReg for an immediate or a void
+	// return) and callerDest the caller register receiving the result
+	// (-1 if discarded).
+	Exit(ret int32, callerDest int)
 	// Load: dest register received size bytes from addr.
 	Load(dest int, addr uint64, size int)
-	// Store: operand src was written to addr (size bytes).
-	Store(src ir.Value, addr uint64, size int)
-	// Bin: dest = a op b (integer or float).
-	Bin(dest int, a, b ir.Value)
+	// Store: register src was written to addr (size bytes).
+	Store(src int32, addr uint64, size int)
+	// Bin: dest = a op b (integer or float arithmetic and compares).
+	Bin(dest int, a, b int32)
 	// Un: dest = f(a) for mov/itof/ftoi.
-	Un(dest int, a ir.Value)
+	Un(dest int, a int32)
 	// FieldPtr/ElemPtr/PtrAdd: dest derives from pointer operand base.
-	PtrDerive(dest int, base ir.Value)
+	PtrDerive(dest int, base int32)
 	// Memcpy after the copy; Memset after the fill.
 	Memcpy(dst, src uint64, n int)
 	Memset(dst uint64, n int)
 	// CondBr observes the branch condition (for control-taint).
-	CondBr(cond ir.Value)
+	CondBr(cond int32)
 	// Alloc observes a heap object birth (st may be nil for raw buffers).
 	Alloc(dest int, addr uint64, size int, st *ir.StructType)
-	// Free observes a heap object death.
-	Free(addr uint64)
-	// Builtin is called after a VM builtin ran; argVals are the resolved
-	// integer arguments, ret the result, dest the receiving register
-	// (-1 if none).
-	Builtin(name string, args []ir.Value, argVals []int64, ret int64, dest int)
+	// Free observes a heap object death; st is the struct type the VM
+	// tracked for the object (nil if none).
+	Free(addr uint64, st *ir.StructType)
+	// Builtin is called after a VM builtin ran; args are the operand
+	// register indices, argVals the resolved integer arguments, ret the
+	// result, dest the receiving register (-1 if none). Both slices are
+	// only valid during the call.
+	Builtin(name string, args []int32, argVals []int64, ret int64, dest int)
+}
+
+// regOf is the Hooks operand index of an IR operand.
+func regOf(v ir.Value) int32 {
+	if v.Kind == ir.ValReg {
+		return int32(v.Reg)
+	}
+	return NoReg
+}
+
+// hookRegs fills the VM's hook scratch with the operand indices of ops.
+func (v *VM) hookRegs(ops []ir.Value) []int32 {
+	idx := v.hookScratch[:0]
+	for _, a := range ops {
+		idx = append(idx, regOf(a))
+	}
+	v.hookScratch = idx
+	return idx
 }
 
 // Builtin is a native function callable from IR. Args arrive as resolved
@@ -214,6 +245,21 @@ type VM struct {
 	framePool   [][]int64
 	argvScratch []int64
 	callScratch Call
+
+	// bcFuncs is the lowered code this instance runs: the Program's
+	// default lowering, or its hooked lowering when Hooks are attached.
+	bcFuncs []*bcFunc
+
+	// Hook plumbing. hookScratch holds the operand indices the
+	// tree-walker passes to Enter and Builtin. In the hooked lowering a
+	// call's pre-hook leaves the callee's Enter arguments in hookArgs
+	// and the caller's result register in hookDest, and a free's
+	// pre-hook leaves the tracked type of the object in hookType for
+	// the Free event that follows the free.
+	hookScratch []int32
+	hookArgs    []int32
+	hookDest    int
+	hookType    *ir.StructType
 
 	// instrLog is the instruction tracer (nil unless WithTrace); the
 	// line format is owned by telemetry.InstrLog.
@@ -493,7 +539,16 @@ func (v *VM) dispatchEntry(name string, args []int64) (int64, error) {
 			}
 			return 0, fmt.Errorf("%w: @%s", ErrUnknownFunc, name)
 		}
-		return v.callBC(v.prog.bcFuncs[idx], args)
+		if v.hooks != nil {
+			// An entry call's operands are immediates.
+			v.hookArgs = v.hookScratch[:0]
+			for range args {
+				v.hookArgs = append(v.hookArgs, NoReg)
+			}
+			v.hookScratch = v.hookArgs
+			v.hookDest = -1
+		}
+		return v.callBC(v.bcFuncs[idx], args)
 	}
 	f := v.prog.Func(name)
 	if f == nil {
@@ -559,7 +614,7 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 		regs[i] = v.resolve(callerRegs, args[i])
 	}
 	if v.hooks != nil {
-		v.hooks.Enter(fn, args)
+		v.hooks.Enter(fn, v.hookRegs(args))
 	}
 
 	// Per-instruction profiler attribution: instead of charging a whole
@@ -581,6 +636,10 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 		}()
 	}
 
+	var covHash uint64
+	if v.coverage != nil {
+		covHash = v.prog.bcFuncs[v.prog.funcIdx[fn.Name]].covHash
+	}
 	blk := 0
 	prevBlk := -1
 	for {
@@ -605,7 +664,7 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 			psc = c
 		}
 		if v.coverage != nil {
-			e := edgeHash(fn, prevBlk, blk)
+			e := edgeHash(covHash, prevBlk, blk)
 			c := &v.coverage[e]
 			if *c < 255 {
 				*c++
@@ -680,7 +739,7 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 				// Hook first: the taint engine attributes the free via
 				// the object-type tracking this delete removes.
 				if v.hooks != nil {
-					v.hooks.Free(addr)
+					v.hooks.Free(addr, v.objects[addr])
 				}
 				if v.tel != nil {
 					v.tel.Emit(telemetry.Event{Kind: telemetry.EvFree, Addr: addr})
@@ -703,7 +762,7 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 					return 0, v.fault(fn, b, err)
 				}
 				if v.hooks != nil {
-					v.hooks.Store(in.Args[0], addr, in.Type.Size())
+					v.hooks.Store(regOf(in.Args[0]), addr, in.Type.Size())
 				}
 			case ir.OpMemcpy:
 				dst := uint64(v.resolve(regs, in.Args[0]))
@@ -737,21 +796,21 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 				regs[in.Dest] = int64(base + uint64(in.Struct.Offset(in.Field)))
 				v.Stats.FieldAccess++
 				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
+					v.hooks.PtrDerive(in.Dest, regOf(in.Args[0]))
 				}
 			case ir.OpElemPtr:
 				base := uint64(v.resolve(regs, in.Args[0]))
 				idx := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = int64(base + uint64(idx)*uint64(in.Type.Size()))
 				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
+					v.hooks.PtrDerive(in.Dest, regOf(in.Args[0]))
 				}
 			case ir.OpPtrAdd:
 				base := uint64(v.resolve(regs, in.Args[0]))
 				off := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = int64(base + uint64(off))
 				if v.hooks != nil {
-					v.hooks.PtrDerive(in.Dest, in.Args[0])
+					v.hooks.PtrDerive(in.Dest, regOf(in.Args[0]))
 				}
 			case ir.OpBin:
 				a := v.resolve(regs, in.Args[0])
@@ -762,51 +821,51 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 				}
 				regs[in.Dest] = r
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, regOf(in.Args[0]), regOf(in.Args[1]))
 				}
 			case ir.OpFBin:
 				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
 				regs[in.Dest] = int64(math.Float64bits(evalFBin(in.Bin, a, bb)))
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, regOf(in.Args[0]), regOf(in.Args[1]))
 				}
 			case ir.OpCmp:
 				a := v.resolve(regs, in.Args[0])
 				bb := v.resolve(regs, in.Args[1])
 				regs[in.Dest] = evalCmp(in.Cmp, a, bb)
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, regOf(in.Args[0]), regOf(in.Args[1]))
 				}
 			case ir.OpFCmp:
 				a := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				bb := math.Float64frombits(uint64(v.resolve(regs, in.Args[1])))
 				regs[in.Dest] = evalFCmp(in.Cmp, a, bb)
 				if v.hooks != nil {
-					v.hooks.Bin(in.Dest, in.Args[0], in.Args[1])
+					v.hooks.Bin(in.Dest, regOf(in.Args[0]), regOf(in.Args[1]))
 				}
 			case ir.OpItoF:
 				regs[in.Dest] = int64(math.Float64bits(float64(v.resolve(regs, in.Args[0]))))
 				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
+					v.hooks.Un(in.Dest, regOf(in.Args[0]))
 				}
 			case ir.OpFtoI:
 				f := math.Float64frombits(uint64(v.resolve(regs, in.Args[0])))
 				regs[in.Dest] = int64(f)
 				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
+					v.hooks.Un(in.Dest, regOf(in.Args[0]))
 				}
 			case ir.OpMov:
 				regs[in.Dest] = v.resolve(regs, in.Args[0])
 				if v.hooks != nil {
-					v.hooks.Un(in.Dest, in.Args[0])
+					v.hooks.Un(in.Dest, regOf(in.Args[0]))
 				}
 			case ir.OpBr:
 				prevBlk, blk = blk, in.Blocks[0]
 			case ir.OpCondBr:
 				c := v.resolve(regs, in.Args[0])
 				if v.hooks != nil {
-					v.hooks.CondBr(in.Args[0])
+					v.hooks.CondBr(regOf(in.Args[0]))
 				}
 				if c != 0 {
 					prevBlk, blk = blk, in.Blocks[0]
@@ -834,13 +893,13 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 				}
 			case ir.OpRet:
 				var rv int64
-				var retArg *ir.Value
+				ret := NoReg
 				if len(in.Args) == 1 {
 					rv = v.resolve(regs, in.Args[0])
-					retArg = &in.Args[0]
+					ret = regOf(in.Args[0])
 				}
 				if v.hooks != nil {
-					v.hooks.Exit(retArg, callerDest)
+					v.hooks.Exit(ret, callerDest)
 				}
 				return rv, nil
 			default:
@@ -920,7 +979,7 @@ func (v *VM) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.Instr) 
 		return 0, v.fault(fn, b, err)
 	}
 	if v.hooks != nil {
-		v.hooks.Builtin(in.Callee, in.Args, argv, ret, in.Dest)
+		v.hooks.Builtin(in.Callee, v.hookRegs(in.Args), argv, ret, in.Dest)
 	}
 	return ret, nil
 }
@@ -1070,11 +1129,19 @@ func evalFCmp(op ir.CmpKind, a, b float64) int64 {
 	return 0
 }
 
-func edgeHash(fn *ir.Func, prev, cur int) uint16 {
+// nameHash is the FNV-1a prefix of a function's coverage edges, over
+// the runes of its name. Compile computes it once per function.
+func nameHash(name string) uint64 {
 	h := uint64(14695981039346656037)
-	for _, ch := range fn.Name {
+	for _, ch := range name {
 		h = (h ^ uint64(ch)) * 1099511628211
 	}
+	return h
+}
+
+// edgeHash is the coverage-bitmap slot of the edge prev -> cur in the
+// function whose nameHash is h.
+func edgeHash(h uint64, prev, cur int) uint16 {
 	h = (h ^ uint64(uint32(prev+1))) * 1099511628211
 	h = (h ^ uint64(uint32(cur+1))) * 1099511628211
 	return uint16(h)
