@@ -12,7 +12,7 @@ import (
 	"polar/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the committed lowering fingerprint golden")
+var update = flag.Bool("update", false, "rewrite the committed goldens")
 
 const loweringGolden = "testdata/lowering_fingerprints.golden"
 
