@@ -12,8 +12,7 @@
 // or the tree-walking reference engine ("legacy"; also "tree"). The
 // two are differentially tested to produce identical results, stats
 // and violations; legacy is the one to pin when bisecting a suspected
-// engine bug. VMs with -trace attached fall back to the tree-walker
-// automatically.
+// engine bug. Every flag, -trace included, works on either engine.
 //
 // Plain modules run on the bare VM; pass -hardened for modules produced
 // by polarc (the POLaR runtime is attached and the class table

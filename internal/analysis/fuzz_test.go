@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -48,6 +49,52 @@ func FuzzAnalyze(f *testing.F) {
 			if t1[i] != t2[i] {
 				t.Fatalf("nondeterministic taint verdict: %v vs %v", t1, t2)
 			}
+		}
+	})
+}
+
+// FuzzDecodeSiteFacts feeds arbitrary bytes to the -facts artifact
+// reader. Malformed input must come back as an error, never a panic,
+// and accepted facts must round-trip: their EncodeJSON output decodes
+// again and re-encodes to the same bytes, and converting them into
+// compile facts must not panic. The seeds are the committed facts
+// artifacts polarc -facts wrote (each must decode).
+func FuzzDecodeSiteFacts(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.facts.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed site-facts seeds: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := analysis.DecodeSiteFacts(data); err != nil {
+			f.Fatalf("%s: committed seed does not decode: %v", path, err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"module":"m","k":2,"sites":[{"pos":"@main.entry#0","churn":true},{"pos":"@f.b#1","shareKey":"K"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := analysis.DecodeSiteFacts(data)
+		if err != nil {
+			return
+		}
+		_ = sf.CompileFacts()
+		out, err := sf.EncodeJSON()
+		if err != nil {
+			t.Fatalf("accepted facts do not encode: %v", err)
+		}
+		sf2, err := analysis.DecodeSiteFacts(out)
+		if err != nil {
+			t.Fatalf("encoded facts do not decode: %v\n%s", err, out)
+		}
+		out2, err := sf2.EncodeJSON()
+		if err != nil {
+			t.Fatalf("re-decoded facts do not encode: %v", err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("site facts do not round-trip:\n%s\nvs\n%s", out, out2)
 		}
 	})
 }

@@ -29,34 +29,6 @@ type MetaStats struct {
 	Retired       uint64
 	LayoutsUnique uint64
 	LayoutsShared uint64 // registrations served by the dedup table
-	// Shards breaks the object table down per shard so load imbalance
-	// across the 16 shards is visible (the aggregate counters above
-	// cannot show one hot shard serializing everything).
-	Shards []MetaShardStats
-}
-
-// MetaShardStats is one shard's slice of the object table.
-type MetaShardStats struct {
-	Registered uint64
-	Retired    uint64
-	Live       uint64 // non-freed records currently held
-	Total      uint64 // records currently held (live + ghosts)
-}
-
-// numMetaShards is the shard count of the object table (power of two so
-// shard selection is a mask). 16 shards keep the per-shard maps small
-// and let register/free/lookup from many instances proceed without
-// funneling through one lock.
-const numMetaShards = 16
-
-// metaShard is one slice of the object table: its own lock, its own
-// map, its own event counters (summed on Stats so the hot path never
-// touches shared counters).
-type metaShard struct {
-	mu         sync.RWMutex
-	objects    map[uint64]*ObjectMeta
-	registered uint64
-	retired    uint64
 }
 
 // LayoutInterner is the layout deduplication table (§V.B: "remove the
@@ -121,16 +93,18 @@ func (in *LayoutInterner) Intern(classHash uint64, l *layout.Layout) *layout.Lay
 }
 
 // MetaStore is the POLaR object-tracking table plus the layout
-// deduplication table. The object table is sharded by base-address hash
-// (RWMutex per shard) so concurrent instances don't serialize on one
-// lock; the dedup table lives in a LayoutInterner that may be shared
-// across stores.
+// deduplication table. The object table is one map under one RWMutex:
+// each runtime builds its own store and serves one VM, so the lock is
+// uncontended (only the LayoutInterner is shared across goroutines).
 //
 // The zero value is not usable; call NewMetaStore. Safe for concurrent
 // use.
 type MetaStore struct {
-	shards   [numMetaShards]metaShard
-	interner *LayoutInterner
+	mu         sync.RWMutex
+	objects    map[uint64]*ObjectMeta
+	registered uint64
+	retired    uint64
+	interner   *LayoutInterner
 }
 
 // NewMetaStore returns an empty store with a private interner.
@@ -139,29 +113,16 @@ func NewMetaStore() *MetaStore { return NewSharedMetaStore(nil) }
 // NewSharedMetaStore returns an empty store deduplicating layouts
 // through in (a private interner is created when in is nil). Sharing
 // one interner across stores pools their dedup tables; the object
-// shards stay private.
+// tables stay private.
 func NewSharedMetaStore(in *LayoutInterner) *MetaStore {
 	if in == nil {
 		in = NewLayoutInterner()
 	}
-	s := &MetaStore{interner: in}
-	for i := range s.shards {
-		s.shards[i].objects = make(map[uint64]*ObjectMeta)
-	}
-	return s
+	return &MetaStore{objects: make(map[uint64]*ObjectMeta), interner: in}
 }
 
 // Interner exposes the layout-dedup table (for sharing across stores).
 func (s *MetaStore) Interner() *LayoutInterner { return s.interner }
-
-// shard picks the shard owning base. The multiply spreads the (heavily
-// aligned) base addresses; the xor folds the high-entropy bits down
-// into the mask.
-func (s *MetaStore) shard(base uint64) *metaShard {
-	h := base * 0x9e3779b97f4a7c15
-	h ^= h >> 32
-	return &s.shards[h&(numMetaShards-1)]
-}
 
 // Intern forwards to the store's layout interner.
 func (s *MetaStore) Intern(classHash uint64, l *layout.Layout) *layout.Layout {
@@ -173,43 +134,39 @@ func (s *MetaStore) Intern(classHash uint64, l *layout.Layout) *layout.Layout {
 // replaced one (nil if none), so callers can invalidate caches covering
 // the old object's fields.
 func (s *MetaStore) Register(base uint64, classHash uint64, l *layout.Layout, size int) (*ObjectMeta, *ObjectMeta) {
-	sh := s.shard(base)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := sh.objects[base]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.objects[base]
 	m := &ObjectMeta{Base: base, ClassHash: classHash, Layout: l, Size: size}
-	sh.objects[base] = m
-	sh.registered++
+	s.objects[base] = m
+	s.registered++
 	return m, old
 }
 
 // Lookup returns the metadata at base (live or ghost).
 func (s *MetaStore) Lookup(base uint64) (*ObjectMeta, bool) {
-	sh := s.shard(base)
-	sh.mu.RLock()
-	m, ok := sh.objects[base]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	m, ok := s.objects[base]
+	s.mu.RUnlock()
 	return m, ok
 }
 
 // MarkFreed flags the object as freed but keeps the ghost record.
 func (s *MetaStore) MarkFreed(base uint64) {
-	sh := s.shard(base)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if m, ok := sh.objects[base]; ok && !m.Freed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.objects[base]; ok && !m.Freed {
 		m.Freed = true
-		sh.retired++
+		s.retired++
 	}
 }
 
 // Drop removes metadata entirely (used when ghosts should not linger,
 // e.g. when the VM recycles a chunk for an untracked allocation).
 func (s *MetaStore) Drop(base uint64) {
-	sh := s.shard(base)
-	sh.mu.Lock()
-	delete(sh.objects, base)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	delete(s.objects, base)
+	s.mu.Unlock()
 }
 
 // LiveCount returns the number of non-freed records (O(n); tests only).
@@ -218,28 +175,11 @@ func (s *MetaStore) LiveCount() int {
 	return live
 }
 
-// Stats returns a snapshot of the counters, merged across shards, plus
-// the per-shard breakdown.
+// Stats returns a snapshot of the counters.
 func (s *MetaStore) Stats() MetaStats {
-	st := MetaStats{Shards: make([]MetaShardStats, numMetaShards)}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		ss := MetaShardStats{
-			Registered: sh.registered,
-			Retired:    sh.retired,
-			Total:      uint64(len(sh.objects)),
-		}
-		for _, m := range sh.objects {
-			if !m.Freed {
-				ss.Live++
-			}
-		}
-		sh.mu.RUnlock()
-		st.Shards[i] = ss
-		st.Registered += ss.Registered
-		st.Retired += ss.Retired
-	}
+	s.mu.RLock()
+	st := MetaStats{Registered: s.registered, Retired: s.retired}
+	s.mu.RUnlock()
 	s.interner.mu.Lock()
 	st.LayoutsUnique = s.interner.unique
 	st.LayoutsShared = s.interner.shared
@@ -251,16 +191,12 @@ func (s *MetaStore) Stats() MetaStats {
 // inputs to the metadata-table load-factor gauge (O(n); called at
 // snapshot points, not on hot paths).
 func (s *MetaStore) Counts() (live, total int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, m := range sh.objects {
-			if !m.Freed {
-				live++
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, m := range s.objects {
+		if !m.Freed {
+			live++
 		}
-		total += len(sh.objects)
-		sh.mu.RUnlock()
 	}
-	return live, total
+	return live, len(s.objects)
 }

@@ -127,7 +127,7 @@ type LayoutResolver interface {
 }
 
 // metaRecordBytes approximates the footprint of one MetaStore record:
-// unsafe.Sizeof(ObjectMeta) rounds to 48 bytes and the sharded map adds
+// unsafe.Sizeof(ObjectMeta) rounds to 48 bytes and the object map adds
 // roughly a bucket slot (key + pointer) per entry.
 const metaRecordBytes = 64
 

@@ -163,8 +163,8 @@ type Runtime struct {
 	// entry point delegates its strategy-specific ladder here.
 	resolver LayoutResolver
 
-	// layoutGen is the layout generation the engines' per-site inline
-	// caches validate against (vm.InstallLayoutCache). Any event that can
+	// layoutGen is the layout generation the bytecode engine's per-site
+	// inline caches validate against (vm.InstallLayoutCache). Any event that can
 	// change what (base, class, field) resolves to — a free (the base may
 	// be recycled under another class), a re-registration, a stateless
 	// epoch advance — increments it, invalidating every cached entry at
@@ -473,10 +473,10 @@ func (r *Runtime) Attach(v *vm.VM) {
 		r.curCall, r.curField = c, -1
 		return r.olrCheck(c.VM, uint64(c.Arg(0)))
 	})
-	// Hand the engines the inline layout-cache protocol: the generation
-	// counter their cached entries validate against, and the hit callback
-	// that replays this runtime's fast-path observables when a site skips
-	// the resolver entirely.
+	// Hand the VM the inline layout-cache protocol: the generation
+	// counter the bytecode engine's cached entries validate against, and
+	// the hit callback that replays this runtime's fast-path observables
+	// when a site skips the resolver entirely.
 	v.InstallLayoutCache(&r.layoutGen, r.icFieldHit)
 }
 
@@ -492,13 +492,13 @@ func (r *Runtime) profSiteFor(site string) *profile.SiteCounts {
 	return sc
 }
 
-// icFieldHit is the engines' inline-cache hit callback: a monomorphic
-// olr_getptr site revalidated its memoized offset against the current
-// layout generation and skipped the resolver. The runtime's observable
-// stream must be indistinguishable from the strategy's own fast path —
-// cross-engine trace identity depends on both engines calling this at
-// the same points — so it replays exactly what that arm would have
-// done: the metadata strategy's offset-cache hit (probe length 1,
+// icFieldHit is the bytecode engine's inline-cache hit callback: a
+// monomorphic olr_getptr site revalidated its memoized offset against
+// the current layout generation and skipped the resolver. The runtime's
+// observable stream must be indistinguishable from the strategy's own
+// fast path — the cache-free tree-walker resolves the same access
+// through the resolver, and the cross-engine traces must match — so it
+// replays exactly what that arm would have done: the metadata strategy's offset-cache hit (probe length 1,
 // cache.hits) or the stateless memo hit (probe length 0, no cache
 // counters — the stateless ablation row asserts they stay zero).
 func (r *Runtime) icFieldHit(site string, base uint64, field int64, class uint64, off int64) {
@@ -640,7 +640,7 @@ func (r *Runtime) olrFree(v *vm.VM, base uint64) error {
 	}
 	// The freed base may be recycled under another class/layout;
 	// invalidate every inline-cache entry. (Plain frees bump the counter
-	// at the engines' free opcode instead — olr_free never reaches it.)
+	// at the bytecode free opcode instead — olr_free never reaches it.)
 	r.layoutGen++
 	return r.resolver.AfterFree(v)
 }

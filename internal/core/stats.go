@@ -95,31 +95,16 @@ func (s MetaStats) String() string {
 
 // MarshalJSON implements json.Marshaler with stable snake_case keys.
 func (s MetaStats) MarshalJSON() ([]byte, error) {
-	out := map[string]any{
+	return json.Marshal(map[string]uint64{
 		"registered":     s.Registered,
 		"retired":        s.Retired,
 		"layouts_unique": s.LayoutsUnique,
 		"layouts_shared": s.LayoutsShared,
-	}
-	if len(s.Shards) > 0 {
-		shards := make([]map[string]uint64, len(s.Shards))
-		for i, sh := range s.Shards {
-			shards[i] = map[string]uint64{
-				"registered": sh.Registered,
-				"retired":    sh.Retired,
-				"live":       sh.Live,
-				"total":      sh.Total,
-			}
-		}
-		out["shards"] = shards
-	}
-	return json.Marshal(out)
+	})
 }
 
 // Publish snapshots the counters into a telemetry registry under the
-// "core.meta." prefix, including the per-shard breakdown
-// ("core.meta.shard.NN.*") and a load-imbalance gauge (max/mean
-// registrations across shards; 1.0 = perfectly even).
+// "core.meta." prefix.
 func (s MetaStats) Publish(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -128,24 +113,6 @@ func (s MetaStats) Publish(reg *telemetry.Registry) {
 	reg.Counter("core.meta.retired").Set(s.Retired)
 	reg.Counter("core.meta.layouts_unique").Set(s.LayoutsUnique)
 	reg.Counter("core.meta.layouts_shared").Set(s.LayoutsShared)
-	if len(s.Shards) == 0 {
-		return
-	}
-	var maxReg uint64
-	for i, sh := range s.Shards {
-		prefix := fmt.Sprintf("core.meta.shard.%02d.", i)
-		reg.Counter(prefix + "registered").Set(sh.Registered)
-		reg.Counter(prefix + "retired").Set(sh.Retired)
-		reg.Gauge(prefix + "live").Set(float64(sh.Live))
-		reg.Gauge(prefix + "total").Set(float64(sh.Total))
-		if sh.Registered > maxReg {
-			maxReg = sh.Registered
-		}
-	}
-	if s.Registered > 0 {
-		mean := float64(s.Registered) / float64(len(s.Shards))
-		reg.Gauge("core.meta.shard_imbalance").Set(float64(maxReg) / mean)
-	}
 }
 
 // SortedViolationNames returns the kind names present in the map,

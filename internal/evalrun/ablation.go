@@ -31,7 +31,8 @@ type AblationRow struct {
 	FusedDispatches uint64
 	// ICHitPct is the per-site inline layout-cache hit rate of that run
 	// (hits / (hits+misses); meaningful in both layout modes — the
-	// stateless arm memoizes derived offsets the same way).
+	// stateless arm memoizes derived offsets the same way; 0 on the
+	// legacy-engine arm: the tree-walker has no inline caches).
 	ICHitPct float64
 	// ICSeededHitPct is the hit rate of an otherwise-identical run whose
 	// compile consumed the static site classification (DESIGN.md §14):

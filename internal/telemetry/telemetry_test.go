@@ -281,7 +281,13 @@ func TestInstrLog(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewInstrLog(&buf, 2)
 	l.Emit("main", "entry", "alloc %People")
+	if l.Full() {
+		t.Fatal("log full after 1 of 2 lines")
+	}
 	l.Emit("main", "entry", "ret")
+	if !l.Full() {
+		t.Fatal("log not full after 2 of 2 lines")
+	}
 	l.Emit("main", "entry", "dropped")
 	if l.Lines() != 2 {
 		t.Fatalf("lines = %d, want 2", l.Lines())
@@ -294,7 +300,7 @@ func TestInstrLog(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		unlimited.Emit("f", "b", "i")
 	}
-	if unlimited.Lines() != 10 {
+	if unlimited.Full() || unlimited.Lines() != 10 {
 		t.Fatalf("unlimited lines = %d", unlimited.Lines())
 	}
 }

@@ -171,12 +171,16 @@ func NewInstrLog(w io.Writer, max int) *InstrLog {
 
 // Emit writes one instruction line unless the budget is exhausted.
 func (l *InstrLog) Emit(fn, block, instr string) {
-	if l.max > 0 && l.n >= l.max {
+	if l.Full() {
 		return
 	}
 	l.n++
 	fmt.Fprintf(l.w, "@%s.%s\t%s\n", fn, block, instr)
 }
+
+// Full reports whether the line budget is exhausted (never for an
+// unlimited log), so a caller can skip formatting lines Emit would drop.
+func (l *InstrLog) Full() bool { return l.max > 0 && l.n >= l.max }
 
 // Lines returns how many lines were written.
 func (l *InstrLog) Lines() int { return l.n }

@@ -4,24 +4,24 @@ import "fmt"
 
 // Engine selects the execution strategy for a VM instance.
 //
-// EngineBytecode runs the lowered flat bytecode produced at Compile
-// time: operands are pre-resolved (globals are absolute addresses,
-// function references are handles, field offsets are immediates),
-// callees are small-int indices into a per-Program callee table, and
-// the dominant instruction pairs are fused into superinstructions. It
-// is the default because it is substantially faster and — by the
-// differential-test contract — produces bit-identical results, stats
-// and violation records.
+// EngineBytecode is the production engine. It runs the lowered flat
+// bytecode produced at Compile time: operands are pre-resolved (globals
+// are absolute addresses, function references are handles, field
+// offsets are immediates), callees are small-int indices into a
+// per-Program callee table, straight-line runs are fused into
+// superinstructions and olr_getptr sites carry inline layout caches.
+// Every facility runs on it: hooks (WithHooks) select the Program's
+// hooked lowering (see Program.hookedFuncs), and the instruction trace
+// (WithTrace), the profiler, coverage and the execution trace ride on
+// its per-block accounting.
 //
-// EngineLegacy is the original tree-walking interpreter over *ir.Instr.
-// It stays as the reference semantics and as the ablation baseline
-// (polarun/polarbench -engine=legacy).
-//
-// Hooks (WithHooks) run on either engine and fire identical event
-// streams: a hooked bytecode instance executes the Program's hooked
-// lowering (see Program.hookedFuncs). The instruction tracer (WithTrace)
-// is a tree-walker facility; a VM configured for bytecode falls back to
-// the legacy engine for the run when it is attached.
+// EngineLegacy is the tree-walking interpreter over *ir.Instr: the
+// plain reference semantics the differential suite checks the bytecode
+// engine against (polarun/polarbench -engine=legacy, the legacy-engine
+// ablation row). It neither fuses nor inline-caches, so it checks the
+// caches' observables instead of mirroring them, and its Perf counters
+// read zero. By the differential-test contract both engines produce
+// bit-identical results, stats, traces and violation records.
 type Engine uint8
 
 // Engines.
@@ -60,15 +60,5 @@ func WithEngine(e Engine) Option {
 	return func(v *VM) { v.engine = e }
 }
 
-// Engine returns the engine this instance was configured with. The
-// effective engine for a run may still be EngineLegacy when an
-// instruction trace is attached (see Engine's doc).
+// Engine returns the engine this instance runs on.
 func (v *VM) Engine() Engine { return v.engine }
-
-// useBytecode reports whether runs on this instance execute lowered
-// bytecode. Instruction tracing is a tree-walker facility; attaching it
-// falls back to the reference engine. Hooks do not: they select the
-// hooked lowering instead (NewInstance).
-func (v *VM) useBytecode() bool {
-	return v.engine == EngineBytecode && v.instrLog == nil
-}

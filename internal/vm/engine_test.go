@@ -119,38 +119,51 @@ func TestEnginesDifferentialRichProgram(t *testing.T) {
 
 // TestEnginesDifferentialFuelSweep holds both engines to identical
 // behavior at every fuel value: the same success/error (same message,
-// same site) and the same Stats, including across superinstruction
-// boundaries where the bytecode engine must execute exactly half a
-// fused pair before reporting exhaustion.
+// same site), the same Stats and the same instruction trace, including
+// across superinstruction boundaries where the bytecode engine must
+// execute exactly half a fused pair (or a prefix of a fused run) before
+// reporting exhaustion. The rich module carries generalized fused runs
+// and calls; the pairs module carries the classic pair
+// superinstructions.
 func TestEnginesDifferentialFuelSweep(t *testing.T) {
-	m := richModule(t)
-	// Find the total instruction count once, then sweep past it.
-	v, err := New(ir.Clone(m), WithEngine(EngineLegacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	total := v.Stats.Instructions
-	if total == 0 || total > 40_000 {
-		t.Fatalf("unexpected program length %d", total)
-	}
-	for fuel := uint64(0); fuel <= total+2; fuel++ {
-		opts := []Option{WithFuel(fuel), WithInput([]byte{9, 8, 7})}
-		vb, rb, eb := runEngine(t, m, EngineBytecode, opts, 5)
-		vl, rl, el := runEngine(t, m, EngineLegacy, opts, 5)
-		if (eb == nil) != (el == nil) || (eb != nil && eb.Error() != el.Error()) {
-			t.Fatalf("fuel=%d: errors differ:\nbytecode: %v\nlegacy:   %v", fuel, eb, el)
+	for _, m := range []*ir.Module{richModule(t), pairsModule(t)} {
+		// Find the total instruction count once, then sweep past it.
+		v, err := New(ir.Clone(m), WithEngine(EngineLegacy), WithInput([]byte{9, 8, 7}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rb != rl {
-			t.Fatalf("fuel=%d: results differ: %d vs %d", fuel, rb, rl)
+		if _, err := v.Run(5); err != nil {
+			t.Fatal(err)
 		}
-		if vb.Stats != vl.Stats {
-			t.Fatalf("fuel=%d: stats differ:\nbytecode %+v\nlegacy   %+v", fuel, vb.Stats, vl.Stats)
+		total := v.Stats.Instructions
+		if total == 0 || total > 40_000 {
+			t.Fatalf("%s: unexpected program length %d", m.Name, total)
 		}
-		if fuel < total && eb == nil {
-			t.Fatalf("fuel=%d < total=%d but run succeeded", fuel, total)
+		for fuel := uint64(0); fuel <= total+2; fuel++ {
+			var tb, tl strings.Builder
+			opts := func(tr *strings.Builder) []Option {
+				return []Option{WithFuel(fuel), WithInput([]byte{9, 8, 7}), WithTrace(tr, 0)}
+			}
+			vb, rb, eb := runEngine(t, m, EngineBytecode, opts(&tb), 5)
+			vl, rl, el := runEngine(t, m, EngineLegacy, opts(&tl), 5)
+			if (eb == nil) != (el == nil) || (eb != nil && eb.Error() != el.Error()) {
+				t.Fatalf("%s fuel=%d: errors differ:\nbytecode: %v\nlegacy:   %v", m.Name, fuel, eb, el)
+			}
+			if rb != rl {
+				t.Fatalf("%s fuel=%d: results differ: %d vs %d", m.Name, fuel, rb, rl)
+			}
+			if vb.Stats != vl.Stats {
+				t.Fatalf("%s fuel=%d: stats differ:\nbytecode %+v\nlegacy   %+v", m.Name, fuel, vb.Stats, vl.Stats)
+			}
+			if tb.String() != tl.String() {
+				t.Fatalf("%s fuel=%d: instruction traces differ:\nbytecode:\n%s\nlegacy:\n%s", m.Name, fuel, tb.String(), tl.String())
+			}
+			if lines := uint64(strings.Count(tl.String(), "\n")); lines != vl.Stats.Instructions {
+				t.Fatalf("%s fuel=%d: %d trace lines for %d instructions", m.Name, fuel, lines, vl.Stats.Instructions)
+			}
+			if fuel < total && eb == nil {
+				t.Fatalf("%s fuel=%d < total=%d but run succeeded", m.Name, fuel, total)
+			}
 		}
 	}
 }
@@ -237,43 +250,43 @@ func TestFusedIntermediateRegisterVisible(t *testing.T) {
 	}
 }
 
-// TestBytecodeFallsBackForObservers: instruction tracing is a
-// tree-walker facility, so a bytecode-configured VM must transparently
-// run legacy when it is attached (and still produce the trace). Hooks
-// are not: a hooked bytecode VM stays on bytecode and fires them.
-func TestBytecodeFallsBackForObservers(t *testing.T) {
-	m := ir.NewModule("fallback")
-	b := ir.NewFunc(m, "main", ir.I64)
+// TestBytecodeRunsObservers: every observer runs on the bytecode
+// engine. An instruction trace keeps the fused lowering (the run
+// dispatches fused superinstructions) and prints what the tree-walker
+// prints; hooks select the hooked lowering and fire their events.
+func TestBytecodeRunsObservers(t *testing.T) {
+	m := richModule(t)
+	trace := func(e Engine) (string, Perf) {
+		var tr strings.Builder
+		v := mustVM(t, ir.Clone(m), WithEngine(e), WithTrace(&tr, 0), WithInput([]byte{9}))
+		if _, err := v.Run(6); err != nil {
+			t.Fatal(err)
+		}
+		return tr.String(), v.Perf
+	}
+	bt, perf := trace(EngineBytecode)
+	if perf.FusedDispatches == 0 {
+		t.Fatal("a traced bytecode run dispatched no fused superinstructions")
+	}
+	lt, lperf := trace(EngineLegacy)
+	if bt != lt {
+		t.Fatalf("instruction traces differ:\nbytecode:\n%s\nlegacy:\n%s", bt, lt)
+	}
+	if lperf != (Perf{}) {
+		t.Fatalf("tree-walker Perf = %+v, want zero", lperf)
+	}
+
+	small := ir.NewModule("hooked")
+	b := ir.NewFunc(small, "main", ir.I64)
 	b.Ret(b.Bin(ir.BinAdd, ir.Const(1), ir.Const(2)))
-
-	var tr strings.Builder
-	v := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode), WithTrace(&tr, 0))
-	if v.useBytecode() {
-		t.Fatal("instruction tracing must fall back to the tree-walker")
-	}
-	if _, err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tr.String(), "add 1, 2") {
-		t.Fatalf("trace empty under fallback: %q", tr.String())
-	}
-
 	h := &recordingHooks{}
-	v2 := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode), WithHooks(h))
-	if !v2.useBytecode() {
-		t.Fatal("hooks must not fall back to the tree-walker")
-	}
-	if _, err := v2.Run(); err != nil {
+	v := mustVM(t, small, WithEngine(EngineBytecode), WithHooks(h))
+	if _, err := v.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"enter main []", "bin 0 -1 -1", "exit 0 -1"}
 	if !reflect.DeepEqual(h.events, want) {
 		t.Fatalf("hooked bytecode events = %q, want %q", h.events, want)
-	}
-
-	v3 := mustVM(t, ir.Clone(m), WithEngine(EngineBytecode))
-	if !v3.useBytecode() {
-		t.Fatal("plain bytecode VM should not fall back")
 	}
 }
 

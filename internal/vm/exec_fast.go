@@ -7,7 +7,6 @@ import (
 
 	"polar/internal/ir"
 	"polar/internal/telemetry"
-	"polar/internal/telemetry/profile"
 )
 
 // This file is the bytecode engine's dispatch loop. It executes the
@@ -51,23 +50,23 @@ func (v *VM) halfExec(in *bcInstr, regs []int64) {
 // bcExitErr settles block accounting on an early error exit: the
 // instruction at pc is priced in full (count-then-execute, matching the
 // tree-walker), the unexecuted batched suffix is refunded, and the
-// profiler is charged for what actually ran.
-func (v *VM) bcExitErr(f *bcFunc, bb *bcBlock, pc int32, charged uint64, psc *profile.SiteCounts, err error) error {
-	return v.bcExitErrAt(f, bb, pc, f.code[pc].weight(), charged, psc, err)
+// block account is charged for what actually ran.
+func (v *VM) bcExitErr(f *bcFunc, bb *bcBlock, pc int32, charged uint64, acct *blockAcct, err error) error {
+	return v.bcExitErrAt(f, bb, pc, f.code[pc].weight(), charged, acct, err)
 }
 
 // bcExitErrAt is bcExitErr for an exit partway through a fused run: sub
 // micro-ops of the instruction at pc were counted (the faulting micro
 // included, count-then-execute per micro), the rest of the run and the
 // batched suffix are refunded.
-func (v *VM) bcExitErrAt(f *bcFunc, bb *bcBlock, pc int32, sub uint32, charged uint64, psc *profile.SiteCounts, err error) error {
+func (v *VM) bcExitErrAt(f *bcFunc, bb *bcBlock, pc int32, sub uint32, charged uint64, acct *blockAcct, err error) error {
 	actual := f.executedThroughSub(bb, pc, sub)
 	if refund := charged - actual; refund != 0 {
 		v.fuelLeft += refund
 		v.Stats.Instructions -= refund
 	}
-	if psc != nil && actual != 0 {
-		psc.AddCycles(actual)
+	if acct != nil {
+		v.charge(acct, actual)
 	}
 	return err
 }
@@ -172,7 +171,7 @@ func (v *VM) stepMicro(m *mcInstr, regs []int64) error {
 // tree-walker would do — execute fuelLeft more source instructions,
 // then fail the fuel check (or fault mid-prefix with the prefix
 // charged, count-then-execute per micro).
-func (v *VM) fusedPartial(fn *ir.Func, bb *bcBlock, in *bcInstr, regs []int64, charged uint64, psc *profile.SiteCounts) error {
+func (v *VM) fusedPartial(fn *ir.Func, bb *bcBlock, in *bcInstr, regs []int64, charged uint64, acct *blockAcct) error {
 	k := v.fuelLeft
 	v.fuelLeft = 0
 	v.Stats.Instructions += k
@@ -185,14 +184,14 @@ func (v *VM) fusedPartial(fn *ir.Func, bb *bcBlock, in *bcInstr, regs []int64, c
 			v.fuelLeft += refund
 			v.Stats.Instructions -= refund
 			charged -= refund
-			if psc != nil && charged != 0 {
-				psc.AddCycles(charged)
+			if acct != nil {
+				v.charge(acct, charged)
 			}
 			return v.fault(fn, bb.irb, err)
 		}
 	}
-	if psc != nil && charged != 0 {
-		psc.AddCycles(charged)
+	if acct != nil {
+		v.charge(acct, charged)
 	}
 	return fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
 }
@@ -239,7 +238,9 @@ func (v *VM) callBC(f *bcFunc, args []int64) (int64, error) {
 
 	code := f.code
 	mem := v.Mem
-	var psc *profile.SiteCounts
+	// acct is charged the block's executed instructions at every block
+	// exit and before every call (see blockAcct).
+	var acct *blockAcct
 	blk, prevBlk := 0, -1
 blockLoop:
 	for {
@@ -249,13 +250,9 @@ blockLoop:
 				v.xt.BlockFrameSlow(f)
 			}
 		}
-		if v.profSites != nil {
-			c, ok := v.profSites[bb.irb]
-			if !ok {
-				c = v.prof.Site(v.prog.SiteName(bb.irb))
-				v.profSites[bb.irb] = c
-			}
-			psc = c
+		if v.accts != nil {
+			acct = &v.accts[v.depth]
+			v.enter(acct, fn, bb.irb)
 		}
 		if v.coverage != nil {
 			e := edgeHash(f.covHash, prevBlk, blk)
@@ -281,7 +278,7 @@ blockLoop:
 				w := uint64(in.weight())
 				if v.fuelLeft < w {
 					if in.op == bcFused && v.fuelLeft > 0 {
-						return 0, v.fusedPartial(fn, bb, in, regs, charged, psc)
+						return 0, v.fusedPartial(fn, bb, in, regs, charged, acct)
 					}
 					if v.fuelLeft == 1 && w == 2 {
 						v.halfExec(in, regs)
@@ -289,8 +286,8 @@ blockLoop:
 						v.Stats.Instructions++
 						charged++
 					}
-					if psc != nil && charged != 0 {
-						psc.AddCycles(charged)
+					if acct != nil {
+						v.charge(acct, charged)
 					}
 					return 0, fmt.Errorf("%w in @%s.%s", ErrFuelExhausted, fn.Name, bb.irb.Name)
 				}
@@ -308,7 +305,7 @@ blockLoop:
 				size := int(in.size) * count
 				addr, err := v.Heap.Alloc(size)
 				if err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Allocs++
 				regs[in.dest] = int64(addr)
@@ -325,25 +322,24 @@ blockLoop:
 			case bcLocal:
 				size := uint64((in.size + 15) &^ 15)
 				if v.stackTop+size > StackLimit {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, ErrStackOverflow))
+					return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, ErrStackOverflow))
 				}
 				addr := v.stackTop
 				v.stackTop += size
 				if err := v.Mem.Set(addr, 0, int(in.size)); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 				}
 				regs[in.dest] = int64(addr)
 			case bcFree:
 				addr := uint64(in.a.arg(regs))
 				if err := v.Heap.Free(addr); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Frees++
 				if v.icGen != nil {
 					// A freed base may be recycled by a later alloc of a
 					// different class; advancing the layout generation keeps
-					// stale inline-cache entries from matching. (Same point
-					// as the tree-walker's OpFree arm.)
+					// stale inline-cache entries from matching.
 					*v.icGen++
 				}
 				if v.tel != nil {
@@ -357,7 +353,7 @@ blockLoop:
 					var err error
 					u, err = mem.ReadU(addr, int(in.size))
 					if err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 					}
 				}
 				if s := in.signShift; s != 0 {
@@ -370,7 +366,7 @@ blockLoop:
 				val := in.a.arg(regs)
 				if in.size != 8 || !mem.write8Fast(addr, uint64(val)) {
 					if err := mem.WriteU(addr, int(in.size), uint64(val)); err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 					}
 				}
 			case bcMemcpy:
@@ -381,7 +377,7 @@ blockLoop:
 					n = 0
 				}
 				if err := v.Mem.Copy(dst, src, n); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 				}
 				v.Stats.Memcpys++
 			case bcMemset:
@@ -392,7 +388,7 @@ blockLoop:
 					n = 0
 				}
 				if err := v.Mem.Set(dst, val, n); err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 				}
 			case bcFieldPtr:
 				regs[in.dest] = int64(uint64(in.a.arg(regs)) + uint64(in.off))
@@ -406,7 +402,7 @@ blockLoop:
 					var err error
 					u, err = mem.ReadU(p, int(in.size))
 					if err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 					}
 				}
 				if s := in.signShift; s != 0 {
@@ -423,7 +419,7 @@ blockLoop:
 				val := in.b.arg(regs)
 				if in.size != 8 || !mem.write8Fast(p, uint64(val)) {
 					if err := mem.WriteU(p, int(in.size), uint64(val)); err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 					}
 				}
 			case bcElemPtr:
@@ -454,7 +450,7 @@ blockLoop:
 				default:
 					r, err := evalBin(ir.BinKind(in.kind), a, b)
 					if err != nil {
-						return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+						return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 					}
 					regs[in.dest] = r
 				}
@@ -475,14 +471,14 @@ blockLoop:
 			case bcMov:
 				regs[in.dest] = in.a.arg(regs)
 			case bcBr:
-				if psc != nil {
-					psc.AddCycles(charged)
+				if acct != nil {
+					v.charge(acct, charged)
 				}
 				prevBlk, blk = blk, int(in.t0)
 				continue blockLoop
 			case bcCondBr:
-				if psc != nil {
-					psc.AddCycles(charged)
+				if acct != nil {
+					v.charge(acct, charged)
 				}
 				prevBlk = blk
 				if in.a.arg(regs) != 0 {
@@ -494,8 +490,8 @@ blockLoop:
 			case bcCmpBr:
 				c := evalCmp(ir.CmpKind(in.kind), in.a.arg(regs), in.b.arg(regs))
 				regs[in.dest] = c
-				if psc != nil {
-					psc.AddCycles(charged)
+				if acct != nil {
+					v.charge(acct, charged)
 				}
 				prevBlk = blk
 				if c != 0 {
@@ -536,7 +532,7 @@ blockLoop:
 						default:
 							r, err := evalBin(ir.BinKind(m.kind), av, bv)
 							if err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, acct, v.fault(fn, bb.irb, err))
 							}
 							regs[m.dest] = r
 						}
@@ -546,7 +542,7 @@ blockLoop:
 							var err error
 							u, err = mem.ReadU(uint64(av), int(m.size))
 							if err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, acct, v.fault(fn, bb.irb, err))
 							}
 						}
 						if s := m.signShift; s != 0 {
@@ -558,7 +554,7 @@ blockLoop:
 						bv := regs[m.b]
 						if m.size != 8 || !mem.write8Fast(uint64(bv), uint64(av)) {
 							if err := mem.WriteU(uint64(bv), int(m.size), uint64(av)); err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, acct, v.fault(fn, bb.irb, err))
 							}
 						}
 					case mcFieldPtr:
@@ -606,14 +602,14 @@ blockLoop:
 							var err error
 							u, err = mem.ReadU(uint64(av), 8)
 							if err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, acct, v.fault(fn, bb.irb, err))
 							}
 						}
 						regs[m.dest] = int64(u)
 					case mcStore8:
 						if !mem.write8Fast(uint64(regs[m.b]), uint64(av)) {
 							if err := mem.WriteU(uint64(regs[m.b]), 8, uint64(av)); err != nil {
-								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, psc, v.fault(fn, bb.irb, err))
+								return 0, v.bcExitErrAt(f, bb, pc, uint32(mi+1), charged, acct, v.fault(fn, bb.irb, err))
 							}
 						}
 					case mcCmpEq:
@@ -653,14 +649,14 @@ blockLoop:
 							regs[m.dest] = 0
 						}
 					case mcBr:
-						if psc != nil {
-							psc.AddCycles(charged)
+						if acct != nil {
+							v.charge(acct, charged)
 						}
 						prevBlk, blk = blk, int(m.off)
 						continue blockLoop
 					case mcCondBr:
-						if psc != nil {
-							psc.AddCycles(charged)
+						if acct != nil {
+							v.charge(acct, charged)
 						}
 						prevBlk = blk
 						if av != 0 {
@@ -688,11 +684,13 @@ blockLoop:
 						charged -= suffix
 					}
 				}
+				if acct != nil {
+					// Settle the call itself before the callee charges
+					// its own blocks.
+					v.charge(acct, charged)
+				}
 				ret, err := v.callBC(v.bcFuncs[in.off], argv)
 				if err != nil {
-					if psc != nil && charged != 0 {
-						psc.AddCycles(charged)
-					}
 					return 0, err
 				}
 				if suffix != 0 {
@@ -727,7 +725,7 @@ blockLoop:
 				}
 				bi := v.builtinSlots[in.off]
 				if bi == nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc,
+					return 0, v.bcExitErr(f, bb, pc, charged, acct,
 						v.fault(fn, bb.irb, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.irIn.Callee)))
 				}
 				argv := v.argvScratch[:0]
@@ -738,7 +736,7 @@ blockLoop:
 				v.callScratch = Call{VM: v, Name: in.irIn.Callee, Args: argv, RawArgs: in.irIn.Args, fn: fn, blk: bb.irb, ic: in.ic + 1}
 				ret, err := bi(&v.callScratch)
 				if err != nil {
-					return 0, v.bcExitErr(f, bb, pc, charged, psc, v.fault(fn, bb.irb, err))
+					return 0, v.bcExitErr(f, bb, pc, charged, acct, v.fault(fn, bb.irb, err))
 				}
 				if in.dest >= 0 {
 					regs[in.dest] = ret
@@ -777,19 +775,19 @@ blockLoop:
 					v.fuelLeft += refund
 					v.Stats.Instructions -= refund
 				}
-				if psc != nil && actual != 0 {
-					psc.AddCycles(actual)
+				if acct != nil {
+					v.charge(acct, actual)
 				}
 				return rv, nil
 			default:
-				return 0, v.bcExitErr(f, bb, pc, charged, psc,
+				return 0, v.bcExitErr(f, bb, pc, charged, acct,
 					v.fault(fn, bb.irb, fmt.Errorf("vm: bad opcode %d", in.irIn.Op)))
 			}
 		}
 		// Validation guarantees every block ends in a terminator; reaching
 		// here mirrors the tree-walker's defensive check.
-		if psc != nil && charged != 0 {
-			psc.AddCycles(charged)
+		if acct != nil {
+			v.charge(acct, charged)
 		}
 		return 0, v.fault(fn, bb.irb, errFellOffBlock)
 	}

@@ -8,10 +8,9 @@ import (
 )
 
 // TestExecTraceStaysOnBytecode pins the structural-zero contract: an
-// execution-trace writer is NOT a tree-walker facility, so attaching
-// one must not flip the instance off the bytecode engine (unlike hooks
-// and the instruction trace), and an instance without one carries no
-// trace state at all.
+// execution-trace writer rides on the bytecode engine's fused lowering
+// (a traced run still dispatches fused superinstructions), and an
+// instance without one carries no trace state at all.
 func TestExecTraceStaysOnBytecode(t *testing.T) {
 	p, err := Compile(richModule(t))
 	if err != nil {
@@ -24,9 +23,6 @@ func TestExecTraceStaysOnBytecode(t *testing.T) {
 	if plain.ExecTrace() != nil {
 		t.Fatal("instance without WithExecTrace carries a trace writer")
 	}
-	if !plain.useBytecode() {
-		t.Fatal("plain bytecode instance not on bytecode (test setup broken)")
-	}
 
 	var buf bytes.Buffer
 	xw := exectrace.NewWriter(&buf)
@@ -34,14 +30,14 @@ func TestExecTraceStaysOnBytecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !traced.useBytecode() {
-		t.Fatal("WithExecTrace knocked the instance off the bytecode engine")
-	}
 	if _, err := traced.Run(6); err != nil {
 		t.Fatal(err)
 	}
 	if xw.Records() == 0 {
 		t.Fatal("traced bytecode run recorded nothing")
+	}
+	if traced.Perf.FusedDispatches == 0 {
+		t.Fatal("a traced run left the fused bytecode lowering")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 //
 //   - a site proven CHURNED (its innermost loop also frees, so the
 //     layout generation invalidates its entry before every reuse) gets
-//     no IC slot at all (ic = -1): both engines go straight to the
-//     resolver, exactly as they do for non-instrumented calls;
+//     no IC slot at all (ic = -1): the bytecode engine goes straight to
+//     the resolver, exactly as the cache-free tree-walker does;
 //   - monomorphic sites proven to address the same single runs-once
 //     object (equal ShareKey) are UNIFIED onto one slot: the first
 //     access memoizes the randomized offset for every sibling site —

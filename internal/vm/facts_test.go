@@ -56,6 +56,19 @@ func getptrSites(p *Program) []*ir.Instr {
 	return out
 }
 
+// icSlotOf returns the inline layout-cache slot the lowering gave the
+// olr_getptr call in (false when the site carries none).
+func icSlotOf(p *Program, in *ir.Instr) (int32, bool) {
+	for _, bf := range p.bcFuncs {
+		for pc := range bf.code {
+			if c := &bf.code[pc]; c.op == bcCallBuiltin && c.irIn == in {
+				return c.ic, c.ic >= 0
+			}
+		}
+	}
+	return -1, false
+}
+
 // Static facts drive the IC slot plan: a suppressed site gets no slot,
 // share-keyed sites collapse onto one, everything else keeps a fresh
 // private slot — and the slot count shrinks accordingly.
@@ -78,15 +91,15 @@ func TestPlanICSitesFromFacts(t *testing.T) {
 	if prog.numICSites != 2 {
 		t.Errorf("numICSites = %d, want 2 (one shared + one fresh)", prog.numICSites)
 	}
-	if _, ok := prog.icSlotOf[sites[0]]; ok {
+	if _, ok := icSlotOf(prog, sites[0]); ok {
 		t.Errorf("suppressed site still has an IC slot")
 	}
-	s1, ok1 := prog.icSlotOf[sites[1]]
-	s2, ok2 := prog.icSlotOf[sites[2]]
+	s1, ok1 := icSlotOf(prog, sites[1])
+	s2, ok2 := icSlotOf(prog, sites[2])
 	if !ok1 || !ok2 || s1 != s2 {
 		t.Errorf("share-keyed sites not unified: %v/%v %v/%v", s1, ok1, s2, ok2)
 	}
-	s3, ok3 := prog.icSlotOf[sites[3]]
+	s3, ok3 := icSlotOf(prog, sites[3])
 	if !ok3 || s3 == s1 {
 		t.Errorf("unlisted site should keep a private slot distinct from the shared one: %v/%v", s3, ok3)
 	}
@@ -108,7 +121,7 @@ func TestPlanICSitesDefaultSequential(t *testing.T) {
 	}
 	seen := map[int32]bool{}
 	for i, in := range getptrSites(prog) {
-		slot, ok := prog.icSlotOf[in]
+		slot, ok := icSlotOf(prog, in)
 		if !ok || slot != int32(i) || seen[slot] {
 			t.Errorf("site %d: slot %v/%v, want fresh sequential", i, slot, ok)
 		}
@@ -134,8 +147,8 @@ func TestPlanICSitesEmptyFactsMatchesDefault(t *testing.T) {
 		t.Errorf("empty facts changed the slot count: %d vs %d", seeded.numICSites, plain.numICSites)
 	}
 	for i := range getptrSites(seeded) {
-		ss := seeded.icSlotOf[getptrSites(seeded)[i]]
-		ps := plain.icSlotOf[getptrSites(plain)[i]]
+		ss, _ := icSlotOf(seeded, getptrSites(seeded)[i])
+		ps, _ := icSlotOf(plain, getptrSites(plain)[i])
 		if ss != ps {
 			t.Errorf("site %d: slot %d under empty facts, %d unseeded", i, ss, ps)
 		}

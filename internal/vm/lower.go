@@ -232,10 +232,10 @@ func (p *Program) lowerOne(in *ir.Instr) bcInstr {
 }
 
 // assignIC gives an olr_getptr call site its inline layout-cache slot.
-// The Program only numbers the sites; the entries live per instance and
-// the legacy engine finds its slot via icSlotOf. Under static facts the
-// precomputed plan decides the slot instead — possibly shared, possibly
-// none. Only the default lowering carries cache slots.
+// The Program only numbers the sites; the entries live per bytecode
+// instance. Under static facts the precomputed plan decides the slot
+// instead — possibly shared, possibly none. Only the default lowering
+// carries cache slots.
 func (p *Program) assignIC(out *bcInstr) {
 	in := out.irIn
 	if out.op != bcCallBuiltin || in.Callee != olrGetptrName || len(in.Args) != 3 {
@@ -244,12 +244,10 @@ func (p *Program) assignIC(out *bcInstr) {
 	if p.icPlan != nil {
 		if slot, ok := p.icPlan[in]; ok && slot >= 0 {
 			out.ic = slot
-			p.icSlotOf[in] = out.ic
 		}
 		return
 	}
 	out.ic = int32(p.numICSites)
-	p.icSlotOf[in] = out.ic
 	p.numICSites++
 }
 

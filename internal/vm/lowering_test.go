@@ -20,13 +20,13 @@ func compileVariants() map[string]CompileOpts {
 	}
 }
 
-// TestPGODeterministicLowering is the lowering-determinism gate's
+// TestLoweringDeterministic is the lowering-determinism gate's
 // in-process form: compiling the same module under the same options
 // twice must produce byte-identical lowered code (equal Fingerprint).
 // Fusion, constant pooling and register allocation are all pure
 // functions of (module, facts) — any map-iteration or timestamp
 // dependence in the pipeline would show up here.
-func TestPGODeterministicLowering(t *testing.T) {
+func TestLoweringDeterministic(t *testing.T) {
 	for name, opts := range compileVariants() {
 		a, err := CompileWith(richModule(t), opts)
 		if err != nil {

@@ -49,13 +49,11 @@ type Program struct {
 	builtinSlot map[string]int
 
 	// numICSites counts the inline layout-cache slots the lowering
-	// allocated; icSlotOf maps each olr_getptr source instruction to
-	// its slot so the tree-walker shares the per-instance cache
-	// (VM.icSlots) with the bytecode engine. icPlan, when non-nil, is
-	// the fact-driven slot assignment planICSites precomputed (facts.go)
-	// — sites may then share a slot or carry none at all.
+	// allocated (the per-instance entries live in VM.icSlots). icPlan,
+	// when non-nil, is the fact-driven slot assignment planICSites
+	// precomputed (facts.go) — sites may then share a slot or carry none
+	// at all.
 	numICSites int
-	icSlotOf   map[*ir.Instr]int32
 	icPlan     map[*ir.Instr]int32
 
 	// hooked is the lowering hooked instances run (hooked.go), built by
@@ -101,7 +99,6 @@ func CompileWith(m *ir.Module, opts CompileOpts) (*Program, error) {
 		siteNames:   make(map[*ir.Block]string),
 		funcIdx:     make(map[string]int, len(m.Funcs)),
 		builtinSlot: make(map[string]int),
-		icSlotOf:    make(map[*ir.Instr]int32),
 	}
 	addr := uint64(GlobalBase)
 	for _, g := range m.Globals {
@@ -294,14 +291,14 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	// lands in both the name map and the bytecode callee table.
 	v.builtinSlots = make([]Builtin, len(p.builtinSlot))
 	v.bcFuncs = p.bcFuncs
-	if v.hooks != nil && v.useBytecode() {
+	if v.hooks != nil && v.engine == EngineBytecode {
 		v.bcFuncs = p.hookedFuncs()
 	}
-	if p.numICSites > 0 {
-		// Inline layout-cache entries are per instance (they memoize
-		// instance-specific randomized offsets) and start invalid: a
-		// zero entry's generation never matches a live runtime's, whose
-		// generation counter starts at 1.
+	if p.numICSites > 0 && v.engine == EngineBytecode {
+		// Inline layout-cache entries are per bytecode instance (they
+		// memoize instance-specific randomized offsets) and start
+		// invalid: a zero entry's generation never matches a live
+		// runtime's, whose generation counter starts at 1.
 		v.icSlots = make([]icEntry, p.numICSites)
 	}
 	heapOpts := []heap.Option{heap.WithQuarantine(v.quarantine)}
@@ -314,6 +311,9 @@ func (p *Program) NewInstance(opts ...Option) (*VM, error) {
 	v.Heap = heap.New(HeapBase, HeapSize, heapOpts...)
 	if v.prof != nil {
 		v.profSites = make(map[*ir.Block]*profile.SiteCounts)
+	}
+	if v.prof != nil || v.instrLog != nil {
+		v.accts = make([]blockAcct, maxCallDepth+1)
 	}
 	if v.xt != nil {
 		v.xtBlocks = make(map[*ir.Func][]uint32)

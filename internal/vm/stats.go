@@ -44,12 +44,12 @@ func (s Stats) Publish(reg *telemetry.Registry) {
 	reg.Gauge("vm.max_depth").Set(float64(s.MaxDepth))
 }
 
-// Perf holds engine-strategy counters: inline layout-cache traffic at
-// olr_getptr sites and bcFused superinstruction dispatches. They are
-// deliberately NOT part of Stats — the engine differential suite holds
-// Stats to struct equality across engines, while these legitimately
-// differ (the tree-walker never dispatches fused runs; a hooked run
-// never serves inline-cache hits).
+// Perf holds the bytecode engine's strategy counters: inline
+// layout-cache traffic at olr_getptr sites and bcFused superinstruction
+// dispatches. They are deliberately NOT part of Stats — the engine
+// differential suite holds Stats to struct equality across engines,
+// while Perf reads zero on the tree-walker, which neither fuses nor
+// inline-caches (and a hooked run's lowering does neither either).
 type Perf struct {
 	// InlineHits/InlineMisses count inline layout-cache lookups at
 	// eligible olr_getptr sites (a hit skips the core resolver; a miss

@@ -120,8 +120,8 @@ type Call struct {
 	blk *ir.Block
 
 	// ic is the call site's inline layout-cache slot plus one (0 = the
-	// site carries no cache), so the zero Call is inert. Builtins opt
-	// into memoization via Memoize.
+	// site carries no cache, as on every tree-walker call), so the zero
+	// Call is inert. Builtins opt into memoization via Memoize.
 	ic int32
 }
 
@@ -153,10 +153,12 @@ func (c *Call) Arg(i int) int64 {
 // Memoize installs the current olr_getptr resolution into the call
 // site's inline layout cache: the next access at this site with the
 // same (base, field, class) under the same layout generation skips the
-// builtin entirely (both engines). The resolver must only call this on
-// clean resolutions — a live, correctly-typed object whose offset will
-// stay valid until the generation counter next advances. A no-op when
-// the site carries no cache slot or no cache is installed.
+// builtin entirely. The resolver must only call this on clean
+// resolutions — a live, correctly-typed object whose offset will stay
+// valid until the generation counter next advances. Inline caches are a
+// bytecode-engine facility: Memoize is a no-op on the tree-walker, on a
+// hooked run, at a site without a cache slot and when no cache is
+// installed.
 func (c *Call) Memoize(off int64) {
 	if c == nil || c.ic <= 0 || c.VM == nil || c.VM.icGen == nil || len(c.Args) < 3 {
 		return
@@ -184,10 +186,10 @@ type VM struct {
 	Mem   *Memory
 	Heap  *heap.Allocator
 	Stats Stats
-	// Perf holds engine-strategy counters (inline-cache traffic, fused
-	// dispatches). They live outside Stats on purpose: Stats is held to
-	// struct equality across engines by the differential suite, while
-	// Perf legitimately differs (the tree-walker never fuses).
+	// Perf holds the bytecode engine's strategy counters (inline-cache
+	// traffic, fused dispatches). They live outside Stats on purpose:
+	// Stats is held to struct equality across engines by the
+	// differential suite, while Perf reads zero on the tree-walker.
 	Perf Perf
 
 	// prog is the shared immutable Program this instance executes.
@@ -205,20 +207,15 @@ type VM struct {
 	// faults like an unknown function).
 	builtinSlots []Builtin
 
-	// callBinds caches the legacy engine's callee resolution per call
-	// instruction (module function or builtin), replacing two string-map
-	// lookups per call with one pointer-map hit. RegisterBuiltin drops
-	// the cache so re-registration keeps working.
-	callBinds map[*ir.Instr]boundCallee
-
-	// Per-call-site inline layout caches (nil/zero unless the compiled
-	// module has olr_getptr sites and a layout runtime installed the
-	// protocol): icSlots holds one entry per numbered site, icGen points
-	// at the runtime's layout-generation counter (entries from an older
-	// generation never hit; the counter starts at 1 so zeroed entries
-	// are invalid), and icHit replays the runtime's fast-path
-	// observables on a hit so both engines' event/trace streams stay
-	// identical to a resolver fast-path resolution.
+	// The bytecode engine's per-call-site inline layout caches (nil/zero
+	// on the tree-walker, or unless the compiled module has olr_getptr
+	// sites and a layout runtime installed the protocol): icSlots holds
+	// one entry per numbered site, icGen points at the runtime's
+	// layout-generation counter (entries from an older generation never
+	// hit; the counter starts at 1 so zeroed entries are invalid), and
+	// icHit replays the runtime's fast-path observables on a hit so the
+	// event and trace streams stay identical to a resolver fast-path
+	// resolution — and so to the cache-free tree-walker's.
 	icSlots []icEntry
 	icGen   *uint64
 	icHit   func(site string, base uint64, field int64, class uint64, off int64)
@@ -262,7 +259,8 @@ type VM struct {
 	hookType    *ir.StructType
 
 	// instrLog is the instruction tracer (nil unless WithTrace); the
-	// line format is owned by telemetry.InstrLog.
+	// line format is owned by telemetry.InstrLog. Both engines feed it
+	// through blockAcct.charge.
 	instrLog *telemetry.InstrLog
 	// tel is the observability layer (nil = disabled; every emission is
 	// guarded by one nil check).
@@ -276,13 +274,16 @@ type VM struct {
 	prof      *profile.SiteProfiler
 	profSites map[*ir.Block]*profile.SiteCounts
 
+	// accts holds one blockAcct per call depth (nil unless a profiler
+	// or an instruction trace is attached).
+	accts []blockAcct
+
 	// xt is the deterministic execution-trace writer (nil unless
 	// WithExecTrace). xtBlocks/xtFuncs cache precomputed block-record
 	// frame words / interned function ids per instance; the maps are
 	// per-instance but the Writer assigns ids in first-use order, which
 	// both engines reach identically — that is what makes cross-engine
-	// traces byte-comparable. Both engines hook it directly; attaching
-	// a trace does NOT force the legacy engine (see useBytecode).
+	// traces byte-comparable. Both engines hook it directly.
 	xt       *exectrace.Writer
 	xtBlocks map[*ir.Func][]uint32
 	xtFuncs  map[*ir.Func]uint32
@@ -314,9 +315,51 @@ func (v *VM) xtEnter(fn *ir.Func) []uint32 {
 	return frames
 }
 
-// traceInstr emits one trace line (called only when tracing is on).
-func (v *VM) traceInstr(fn *ir.Func, blk *ir.Block, in *ir.Instr) {
-	v.instrLog.Emit(fn.Name, blk.Name, ir.FormatInstr(fn, in))
+// blockAcct is a frame's account of the block it is executing, kept
+// for the observers that consume exact per-block instruction counts:
+// the hot-site profiler and the instruction trace. Both engines charge
+// it at block exit, before a call and on every fault or
+// fuel-exhaustion exit, each time with the number of source
+// instructions the frame has executed in the block so far. A charge
+// settles only what is not yet settled, so a block resumes after a
+// call where it left off and the callee's instructions land in
+// between, in execution order.
+type blockAcct struct {
+	fn   *ir.Func
+	blk  *ir.Block
+	site *profile.SiteCounts // nil without a profiler
+	done uint64              // instructions of blk already settled
+}
+
+// enter starts the account of block b of fn.
+func (v *VM) enter(a *blockAcct, fn *ir.Func, b *ir.Block) {
+	*a = blockAcct{fn: fn, blk: b}
+	if v.profSites != nil {
+		c, ok := v.profSites[b]
+		if !ok {
+			c = v.prof.Site(v.prog.SiteName(b))
+			v.profSites[b] = c
+		}
+		a.site = c
+	}
+}
+
+// charge settles the account up to n executed instructions of the
+// block: the profiler is charged the cycles and the trace prints the
+// instructions.
+func (v *VM) charge(a *blockAcct, n uint64) {
+	if n <= a.done {
+		return
+	}
+	if a.site != nil {
+		a.site.AddCycles(n - a.done)
+	}
+	if v.instrLog != nil {
+		for i := a.done; i < n && !v.instrLog.Full(); i++ {
+			v.instrLog.Emit(a.fn.Name, a.blk.Name, ir.FormatInstr(a.fn, &a.blk.Instrs[i]))
+		}
+	}
+	a.done = n
 }
 
 // Option configures a VM.
@@ -355,9 +398,13 @@ func WithHeapRand(seed int64) Option {
 
 // WithTrace streams every executed instruction to w as
 // "@fn.block\tinstr" lines, stopping after maxLines (0 = unlimited).
-// Tracing is a debugging facility; it slows execution substantially.
-// The stream is produced by a telemetry.InstrLog; the text format and
-// this option's signature are stable.
+// Both engines produce the same stream (the bytecode engine keeps its
+// fused lowering and inline caches): lines are printed from the
+// per-block instruction counts the engines settle at block exit, before
+// a call and on every early exit, so a faulting instruction is printed
+// and one the fuel could not pay for is not. The stream is produced by
+// a telemetry.InstrLog; the text format and this option's signature
+// are stable.
 func WithTrace(w io.Writer, maxLines int) Option {
 	return func(v *VM) { v.instrLog = telemetry.NewInstrLog(w, maxLines) }
 }
@@ -416,14 +463,12 @@ func New(m *ir.Module, opts ...Option) (*VM, error) {
 // RegisterBuiltin installs (or replaces) a native function. The POLaR
 // runtime uses this to provide the olr_* ABI. Registration also binds
 // the builtin into the bytecode engine's callee table (when the
-// compiled module calls the name) and invalidates the legacy engine's
-// call-site bindings.
+// compiled module calls the name).
 func (v *VM) RegisterBuiltin(name string, fn Builtin) {
 	v.builtins[name] = fn
 	if idx, ok := v.prog.builtinSlot[name]; ok {
 		v.builtinSlots[idx] = fn
 	}
-	v.callBinds = nil
 	// A re-registered olr_getptr must see every call again: zeroed
 	// entries carry generation 0, which no installed runtime's counter
 	// (starting at 1) ever matches.
@@ -443,13 +488,15 @@ type icEntry struct {
 	gen   uint64
 }
 
-// InstallLayoutCache arms the per-call-site inline layout caches: gen
-// is the runtime's layout-generation counter (bumped whenever any
-// memoized offset may have gone stale — free, layout-changing copy,
-// rerandomize), and onHit replays the runtime's fast-path observables
-// (counters, events, trace record) for a served hit. The protocol is
-// engine-independent; with hooks attached the caches stay cold so
-// Hooks.Builtin still observes every call.
+// InstallLayoutCache arms the bytecode engine's per-call-site inline
+// layout caches: gen is the runtime's layout-generation counter (bumped
+// whenever any memoized offset may have gone stale — free,
+// layout-changing copy, rerandomize), and onHit replays the runtime's
+// fast-path observables (counters, events, trace record) for a served
+// hit. The tree-walker has no inline caches and ignores the protocol,
+// so it checks the caches' observables as a plain oracle; a hooked
+// run's lowering carries no cache slots either, so Hooks.Builtin
+// observes every call.
 func (v *VM) InstallLayoutCache(gen *uint64, onHit func(site string, base uint64, field int64, class uint64, off int64)) {
 	v.icGen = gen
 	v.icHit = onHit
@@ -531,7 +578,7 @@ func (v *VM) runEntry(name string, args []int64) (int64, error) {
 }
 
 func (v *VM) dispatchEntry(name string, args []int64) (int64, error) {
-	if v.useBytecode() {
+	if v.engine == EngineBytecode {
 		idx, ok := v.prog.funcIdx[name]
 		if !ok {
 			if name == "main" {
@@ -600,9 +647,20 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 	if v.xt != nil {
 		xtFrames = v.xtEnter(fn)
 	}
+	// acct is charged the instructions this frame executes in the
+	// current block (executed), on every block transition, before every
+	// call and on every way out of the frame.
+	var acct *blockAcct
+	if v.accts != nil {
+		acct = &v.accts[v.depth]
+	}
+	var executed uint64
 	savedStack := v.stackTop
 	regs := v.getFrame(fn.NumRegs)
 	defer func() {
+		if acct != nil {
+			v.charge(acct, executed)
+		}
 		v.putFrame(regs)
 		v.stackTop = savedStack
 		v.depth--
@@ -615,25 +673,6 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 	}
 	if v.hooks != nil {
 		v.hooks.Enter(fn, v.hookRegs(args))
-	}
-
-	// Per-instruction profiler attribution: instead of charging a whole
-	// block on entry (which overcharges early exits and faults), track
-	// the instruction counter at block entry and flush the delta — the
-	// instructions this frame actually executed in the block — on every
-	// block transition and on every way out of the frame.
-	profiling := v.profSites != nil
-	var psc *profile.SiteCounts
-	var profBase uint64
-	if profiling {
-		profBase = v.Stats.Instructions
-		defer func() {
-			if psc != nil {
-				if d := v.Stats.Instructions - profBase; d != 0 {
-					psc.AddCycles(d)
-				}
-			}
-		}()
 	}
 
 	var covHash uint64
@@ -649,20 +688,11 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 				v.xt.BlockFrameSlow(f)
 			}
 		}
-		if profiling {
-			if psc != nil {
-				if d := v.Stats.Instructions - profBase; d != 0 {
-					psc.AddCycles(d)
-				}
-			}
-			profBase = v.Stats.Instructions
-			c, ok := v.profSites[b]
-			if !ok {
-				c = v.prof.Site(v.prog.SiteName(b))
-				v.profSites[b] = c
-			}
-			psc = c
+		if acct != nil {
+			v.charge(acct, executed)
+			v.enter(acct, fn, b)
 		}
+		executed = 0
 		if v.coverage != nil {
 			e := edgeHash(covHash, prevBlk, blk)
 			c := &v.coverage[e]
@@ -677,9 +707,7 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 			}
 			v.fuelLeft--
 			v.Stats.Instructions++
-			if v.instrLog != nil {
-				v.traceInstr(fn, b, in)
-			}
+			executed++
 
 			switch in.Op {
 			case ir.OpAlloc:
@@ -729,13 +757,6 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 					return 0, v.fault(fn, b, err)
 				}
 				v.Stats.Frees++
-				if v.icGen != nil {
-					// A raw free can recycle a base address out from under
-					// a memoized resolution; advance the generation so
-					// every inline-cached offset revalidates (same point
-					// in both engines).
-					*v.icGen++
-				}
 				// Hook first: the taint engine attributes the free via
 				// the object-type tracking this delete removes.
 				if v.hooks != nil {
@@ -873,18 +894,12 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 					prevBlk, blk = blk, in.Blocks[1]
 				}
 			case ir.OpCall:
-				if profiling {
-					// The call instruction itself has been counted: flush
-					// it to this site before the callee charges its own
-					// sites, then rebase past whatever the callee ran.
-					if d := v.Stats.Instructions - profBase; d != 0 {
-						psc.AddCycles(d)
-					}
+				if acct != nil {
+					// Settle the call itself before the callee charges
+					// its own blocks.
+					v.charge(acct, executed)
 				}
 				ret, err := v.dispatchCall(fn, b, regs, in)
-				if profiling {
-					profBase = v.Stats.Instructions
-				}
 				if err != nil {
 					return 0, err
 				}
@@ -916,54 +931,15 @@ func (v *VM) call(fn *ir.Func, args []ir.Value, callerRegs []int64, callerDest i
 	}
 }
 
-// boundCallee is a resolved call target: a module function, a builtin,
-// or (both nil) a callee that resolves to nothing and faults. ic is the
-// site's inline layout-cache slot plus one (0 = none), resolved from
-// the Program's numbering once per bind.
-type boundCallee struct {
-	fn *ir.Func
-	bi Builtin
-	ic int32
-}
-
+// dispatchCall runs a call instruction: a module function if the
+// callee names one, else the registered builtin.
 func (v *VM) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.Instr) (int64, error) {
-	// Callee binding is stable per call site (module functions are fixed
-	// at Compile; builtin re-registration drops the cache), so resolve
-	// the two string maps once and hit a pointer-keyed map after that.
-	bound, ok := v.callBinds[in]
-	if !ok {
-		bound.fn = v.prog.Func(in.Callee)
-		if bound.fn == nil {
-			bound.bi = v.builtins[in.Callee]
-		}
-		if slot, has := v.prog.icSlotOf[in]; has {
-			bound.ic = slot + 1
-		}
-		if v.callBinds == nil {
-			v.callBinds = make(map[*ir.Instr]boundCallee)
-		}
-		v.callBinds[in] = bound
+	if callee := v.prog.Func(in.Callee); callee != nil {
+		return v.call(callee, in.Args, regs, in.Dest)
 	}
-	if bound.fn != nil {
-		return v.call(bound.fn, in.Args, regs, in.Dest)
-	}
-	if bound.bi == nil {
+	bi := v.builtins[in.Callee]
+	if bi == nil {
 		return 0, v.fault(fn, b, fmt.Errorf("%w: @%s", ErrUnknownFunc, in.Callee))
-	}
-	// Inline layout-cache fast path, shared with the bytecode engine
-	// (same slots, same generation check, same hit callback — that is
-	// what keeps the engines' event and trace streams identical). Hooks
-	// disable it: Hooks.Builtin must observe every call.
-	if bound.ic > 0 && v.icGen != nil && v.hooks == nil {
-		base := uint64(v.resolve(regs, in.Args[0]))
-		field := v.resolve(regs, in.Args[1])
-		class := uint64(v.resolve(regs, in.Args[2]))
-		if e := &v.icSlots[bound.ic-1]; e.gen == *v.icGen && e.base == base && e.field == field && e.class == class {
-			v.Perf.InlineHits++
-			v.icHit(v.prog.SiteName(b), base, field, class, e.off)
-			return int64(base + uint64(e.off)), nil
-		}
-		v.Perf.InlineMisses++
 	}
 	// Builtins never re-enter the interpreter, so one scratch argument
 	// buffer and Call frame per VM suffice (keeps the hot olr_getptr
@@ -973,8 +949,8 @@ func (v *VM) dispatchCall(fn *ir.Func, b *ir.Block, regs []int64, in *ir.Instr) 
 		argv = append(argv, v.resolve(regs, a))
 	}
 	v.argvScratch = argv[:0]
-	v.callScratch = Call{VM: v, Name: in.Callee, Args: argv, RawArgs: in.Args, fn: fn, blk: b, ic: bound.ic}
-	ret, err := bound.bi(&v.callScratch)
+	v.callScratch = Call{VM: v, Name: in.Callee, Args: argv, RawArgs: in.Args, fn: fn, blk: b}
+	ret, err := bi(&v.callScratch)
 	if err != nil {
 		return 0, v.fault(fn, b, err)
 	}

@@ -465,9 +465,8 @@ type LiveRuntime interface {
 }
 
 // WithEngine selects the execution engine for this run; without it a
-// run uses EngineBytecode. Runs with WithTrace attached fall back to
-// the tree-walker regardless — instruction tracing is a
-// reference-engine facility.
+// run uses EngineBytecode. Every option, WithTrace included, runs on
+// either engine.
 func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 
 // WithRuntimeObserver registers fn to receive the live runtime just
@@ -490,9 +489,8 @@ type Result struct {
 	// VM holds the interpreter counters.
 	VM vm.Stats
 	// Perf holds the bytecode engine's performance-path counters
-	// (inline layout-cache hits/misses, fused dispatches). Zero-valued
-	// on tree-walker runs except for the inline-cache counters, which
-	// both engines share.
+	// (inline layout-cache hits/misses, fused dispatches); zero on
+	// tree-walker runs, which neither fuse nor inline-cache.
 	Perf vm.Perf
 	// Violations are the structured detection records, in order
 	// (populated on hardened runs; capped — see core.ViolationRecords).
